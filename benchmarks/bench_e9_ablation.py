@@ -7,23 +7,27 @@
     set in memory). Measured on a sliding-window stream where every
     arrival eventually becomes a deletion.
 
-(b) **Dynamic connectivity backend.** HDT (amortized O(log² n)) vs. the
-    naive BFS structure (O(component) per split check) under the same
-    deletion-heavy stream.
+(b) **Dynamic connectivity.** HDT (amortized O(log² n)) vs. the
+    clusterer's component labels (O(component) per split search), both
+    driven directly with the same op sequences: the sample mutations of
+    the (a) window stream, and an adversarial cycle.
 
 Expected shapes: random pairing sustains higher throughput than
-periodic resampling at comparable quality; HDT and naive are comparable
-at small scale with HDT pulling ahead as components grow (constants in
-pure Python are visible — the asymptotic gap is the point).
+periodic resampling at comparable quality; the labels' small constants
+win on small components while HDT wins on the cycle (constants in pure
+Python are visible — the asymptotic gap is the point).
 """
+
+import time
+from typing import Dict, List, Tuple
 
 from bench_common import finish
 from repro.bench import ExperimentResult, measure_throughput
+from repro.connectivity import ComponentLabels, HDTConnectivity
 from repro.core import (
     ClustererConfig,
     DeletionPolicy,
     SlidingWindowClusterer,
-    StreamingGraphClusterer,
 )
 from repro.streams import insert_only_stream, planted_partition
 
@@ -84,85 +88,113 @@ def test_e9a_deletion_policy(benchmark):
     assert pairing["events_per_sec"] > aggressive["events_per_sec"]
 
 
-def _cycle_churn_workload(n: int = 3000, churn: int = 4000):
-    """Adversarial for BFS connectivity: a fully-sampled n-cycle with
-    single-edge delete/re-add churn. Deleting a cycle edge leaves a
-    Hamiltonian path, so the BFS split check costs O(n) while HDT pays
-    O(log² n)."""
-    import random
+class _RecordingLabels(ComponentLabels):
+    """Component labels that log every sampled-edge insertion/deletion,
+    so a clusterer run yields the op sequence its connectivity saw."""
 
-    from repro.streams import add_edge, delete_edge
+    def __init__(self) -> None:
+        super().__init__()
+        self.ops: List[Tuple[bool, int, int]] = []
+
+    def link(self, u, v):
+        self.ops.append((True, u, v))
+        return super().link(u, v)
+
+    def cut(self, u, v):
+        self.ops.append((False, u, v))
+        return super().cut(u, v)
+
+
+def _window_ops() -> List[Tuple[bool, int, int]]:
+    """The sample mutations of E9a's sliding-window run (capacity 1500,
+    window 5000): many small components, typical churn."""
+    window = SlidingWindowClusterer(
+        ClustererConfig(reservoir_capacity=1500, strict=False, seed=7), window=5000
+    )
+    recorder = window.inner._components = _RecordingLabels()
+    window.process(_window_workload())
+    return recorder.ops
+
+
+def _cycle_ops(n: int = 3000, churn: int = 1000) -> List[Tuple[bool, int, int]]:
+    """Adversarial for label search: an n-cycle with single-edge
+    delete/re-insert churn. Deleting a cycle edge leaves a Hamiltonian
+    path, so the split search costs O(n) while HDT pays O(log² n)."""
+    import random
 
     ring = [(i, (i + 1) % n) for i in range(n)]
     rng = random.Random(5)
-    events = [add_edge(u, v) for u, v in ring]
+    ops = [(True, u, v) for u, v in ring]
     for _ in range(churn):
         u, v = ring[rng.randrange(n)]
-        events.append(delete_edge(u, v))
-        events.append(add_edge(u, v))
-    return events
+        ops.append((False, u, v))
+        ops.append((True, u, v))
+    return ops
+
+
+def _replay(structure, ops) -> Tuple[float, List[bool]]:
+    """Apply ``ops`` to a fresh structure; (seconds, return values)."""
+    insert = structure.insert_edge
+    delete = structure.delete_edge
+    answers = []
+    start = time.perf_counter()
+    for is_insert, u, v in ops:
+        answers.append(insert(u, v) if is_insert else delete(u, v))
+    return time.perf_counter() - start, answers
+
+
+_STRUCTURES = {
+    "hdt": lambda: HDTConnectivity(seed=9),
+    "labels": ComponentLabels,
+}
 
 
 def test_e9b_connectivity_backend(benchmark):
-    window_events = _window_workload()
-    cycle_events = _cycle_churn_workload()
-
-    def run_window(backend):
-        window = SlidingWindowClusterer(
-            ClustererConfig(
-                reservoir_capacity=1500,
-                connectivity_backend=backend,
-                strict=False,
-                seed=7,
-            ),
-            window=5000,
-        )
-        return window, measure_throughput(window, window_events)
-
-    def run_cycle(backend):
-        clusterer = StreamingGraphClusterer(
-            ClustererConfig(
-                reservoir_capacity=3000,
-                connectivity_backend=backend,
-                strict=False,
-                seed=9,
-            )
-        )
-        return clusterer, measure_throughput(clusterer, cycle_events)
-
-    benchmark.pedantic(lambda: run_window("hdt"), rounds=3, iterations=1)
+    """HDT vs the clusterer's ComponentLabels, driven directly with the
+    same op sequences (best of three timed replays each)."""
+    workloads = {
+        "window churn (small components)": _window_ops(),
+        "cycle churn (adversarial)": _cycle_ops(),
+    }
+    benchmark.pedantic(
+        lambda: _replay(ComponentLabels(), workloads["window churn (small components)"]),
+        rounds=3,
+        iterations=1,
+    )
 
     result = ExperimentResult(
         "e9b_connectivity_backend",
-        "dynamic connectivity backend: typical churn vs adversarial cycle",
+        "HDT vs component labels on recorded op sequences: typical churn vs "
+        "adversarial cycle",
     )
-    partitions = {}
-    throughput = {}
-    for backend in ("hdt", "naive"):
-        window, outcome = run_window(backend)
-        partitions[backend] = window.snapshot()
-        result.add_row(
-            workload="window churn (small components)",
-            backend=backend,
-            events_per_sec=round(outcome.events_per_second),
-            us_per_event=round(outcome.microseconds_per_event, 1),
-            splits=window.inner.stats.component_splits,
-        )
-    for backend in ("hdt", "naive"):
-        clusterer, outcome = run_cycle(backend)
-        throughput[backend] = outcome.events_per_second
-        result.add_row(
-            workload="cycle churn (adversarial)",
-            backend=backend,
-            events_per_sec=round(outcome.events_per_second),
-            us_per_event=round(outcome.microseconds_per_event, 1),
-            splits=clusterer.stats.component_splits,
-        )
+    ops_per_sec: Dict[Tuple[str, str], float] = {}
+    for workload, ops in workloads.items():
+        answers = {}
+        for name, make in _STRUCTURES.items():
+            timings = []
+            for _ in range(3):
+                seconds, answers[name] = _replay(make(), ops)
+                timings.append(seconds)
+            best = min(timings)
+            ops_per_sec[workload, name] = len(ops) / best
+            result.add_row(
+                workload=workload,
+                structure=name,
+                ops=len(ops),
+                ops_per_sec=round(len(ops) / best),
+                us_per_op=round(best / len(ops) * 1e6, 2),
+                splits=sum(
+                    1 for (is_insert, _, _), split in zip(ops, answers[name])
+                    if split and not is_insert
+                ),
+            )
+        # Both structures answer every merge/split question identically.
+        assert answers["hdt"] == answers["labels"]
     finish(result)
 
-    # Identical seeds → identical sampling decisions → identical clusters.
-    assert partitions["hdt"] == partitions["naive"]
-    # On the adversarial structure the asymptotics win despite Python
-    # constants (on typical small-component churn, naive's constants win
-    # — both rows are the reported finding).
-    assert throughput["hdt"] > throughput["naive"]
+    # Typical small-component churn favours the labels' small constants;
+    # on the adversarial cycle HDT's O(log² n) deletions win.
+    window = "window churn (small components)"
+    cycle = "cycle churn (adversarial)"
+    assert ops_per_sec[window, "labels"] > ops_per_sec[window, "hdt"]
+    assert ops_per_sec[cycle, "hdt"] > ops_per_sec[cycle, "labels"]

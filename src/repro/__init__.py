@@ -19,7 +19,8 @@ True
 Packages
 --------
 * :mod:`repro.core` — the streaming clusterer (+ sharded / windowed).
-* :mod:`repro.connectivity` — fully-dynamic connectivity (HDT, ETT, …).
+* :mod:`repro.connectivity` — component labels of the sampled sub-graph
+  (+ HDT/ETT fully-dynamic connectivity, union-find).
 * :mod:`repro.sampling` — reservoir samplers (Algorithm R/L, random
   pairing, Bernoulli).
 * :mod:`repro.streams` — event model, generators (SBM, LFR-style,

@@ -28,7 +28,7 @@ same seed and ``--workers`` count.
 ``--checkpoint-every`` events, and ``--resume`` restarts from the last
 checkpoint, replaying only the stream tail (identical output to an
 uninterrupted run — see ``docs/robustness.md``). Resuming with flags
-that conflict with the checkpointed configuration (capacity, backend,
+that conflict with the checkpointed configuration (capacity, kernel,
 seed, constraints) is refused with exit code 2 — a silent mismatch
 would produce a partition neither run would have produced.
 
@@ -108,7 +108,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="bound every cluster's size")
     parser.add_argument("--min-clusters", type=int,
                         help="keep at least this many clusters")
-    parser.add_argument("--backend", choices=("hdt", "naive", "lazy"), default="hdt")
     parser.add_argument("--lean", action="store_true",
                         help="do not track the full graph (reservoir-only memory)")
     parser.add_argument("--kernel", choices=("scalar", "numpy"), default="scalar",
@@ -356,7 +355,6 @@ def _build_constraint(args: argparse.Namespace) -> ConstraintPolicy:
 #: (policy classes are stateless predicates without ``__eq__``).
 _RESUME_CHECKED_FIELDS = (
     ("reservoir_capacity", "--capacity"),
-    ("connectivity_backend", "--backend"),
     ("seed", "--seed"),
     ("track_graph", "--lean"),
     ("kernel", "--kernel"),
@@ -390,7 +388,6 @@ def _run_cluster(args: argparse.Namespace) -> int:
     config = ClustererConfig(
         reservoir_capacity=args.capacity,
         constraint=_build_constraint(args),
-        connectivity_backend=args.backend,
         track_graph=not args.lean,
         strict=False,
         seed=args.seed,
@@ -582,7 +579,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     config = ClustererConfig(
         reservoir_capacity=args.capacity,
         constraint=_build_constraint(args),
-        connectivity_backend=args.backend,
         track_graph=not args.lean,
         strict=False,
         seed=args.seed,

@@ -1,57 +1,28 @@
-"""Fully-dynamic connectivity structures for the sampled sub-graph.
+"""Connectivity structures for the sampled sub-graph.
 
 The paper's clusters are the connected components of the reservoir
 sub-graph, which changes under both edge insertions (reservoir
 admissions) and deletions (reservoir evictions and stream deletions).
-This package provides the machinery to maintain those components:
 
-* :class:`UnionFind` / :class:`RollbackUnionFind` — static/undoable DSU.
-* :class:`NaiveDynamicConnectivity` — BFS-based, the simple oracle.
-* :class:`EulerTourForest` — balanced Euler-tour trees (the HDT substrate).
-* :class:`HDTConnectivity` — Holm–de Lichtenberg–Thorup fully-dynamic
-  connectivity, amortized O(log² n) updates; the production structure.
-* :class:`LazyRebuildConnectivity` — union-find rebuilt lazily at query
-  time; fastest for query-sparse, unconstrained ingestion.
+* :class:`ComponentLabels` — the clusterer's connectivity state: sampled
+  adjacency plus incrementally maintained component ids.
+* :class:`UnionFind` — static DSU (offline baselines, shard merging,
+  test oracles).
+* :class:`EulerTourForest` / :class:`HDTConnectivity` — Holm–de
+  Lichtenberg–Thorup fully-dynamic connectivity with amortized
+  O(log² n) updates; the comparator of experiment E9b.
 """
 
 from repro.connectivity.base import DynamicConnectivity
 from repro.connectivity.ett import EulerTourForest
 from repro.connectivity.hdt import HDTConnectivity
-from repro.connectivity.lazy import LazyRebuildConnectivity
-from repro.connectivity.naive import NaiveDynamicConnectivity
-from repro.connectivity.offline import resolve_sample_timeline
-from repro.connectivity.union_find import RollbackUnionFind, UnionFind
+from repro.connectivity.labels import ComponentLabels
+from repro.connectivity.union_find import UnionFind
 
 __all__ = [
+    "ComponentLabels",
     "DynamicConnectivity",
     "EulerTourForest",
     "HDTConnectivity",
-    "LazyRebuildConnectivity",
-    "NaiveDynamicConnectivity",
-    "RollbackUnionFind",
     "UnionFind",
-    "resolve_sample_timeline",
 ]
-
-_BACKENDS = {
-    "hdt": HDTConnectivity,
-    "naive": NaiveDynamicConnectivity,
-    "lazy": LazyRebuildConnectivity,
-}
-
-
-def make_connectivity(backend: str, seed: int = 0) -> DynamicConnectivity:
-    """Instantiate a connectivity backend by name (``"hdt"`` or ``"naive"``)."""
-    try:
-        cls = _BACKENDS[backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown connectivity backend {backend!r}; "
-            f"expected one of {sorted(_BACKENDS)}"
-        ) from None
-    if cls is HDTConnectivity:
-        return cls(seed=seed)
-    return cls()
-
-
-__all__.append("make_connectivity")

@@ -4,14 +4,14 @@ The streaming clusterer maintains the connected components of the
 *sampled* sub-graph under edge insertions and deletions. Two
 implementations are provided:
 
-* :class:`repro.connectivity.naive.NaiveDynamicConnectivity` — simple
-  BFS-based structure, O(component) deletions; the correctness oracle.
+* :class:`repro.connectivity.labels.ComponentLabels` — component labels
+  over the sampled adjacency, O(component) deletions; the clusterer's
+  own state and the correctness oracle.
 * :class:`repro.connectivity.hdt.HDTConnectivity` — Holm–de
   Lichtenberg–Thorup structure, amortized poly-logarithmic updates; the
-  production structure.
+  comparator of experiment E9b.
 
-Both implement this interface so they are interchangeable in the
-clusterer (and cross-checkable in tests).
+Both implement this interface so they are cross-checkable in tests.
 """
 
 from __future__ import annotations

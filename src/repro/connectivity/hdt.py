@@ -1,9 +1,9 @@
 """Holm–de Lichtenberg–Thorup fully-dynamic connectivity.
 
-This is the production connectivity structure used by the streaming
-clusterer: amortized O(log² n) edge insertion/deletion and O(log n)
-connectivity queries, versus the naive structure's O(component)
-deletions.
+Amortized O(log² n) edge insertion/deletion and O(log n) connectivity
+queries, versus O(component) deletions for the clusterer's
+:class:`~repro.connectivity.labels.ComponentLabels`. Experiment E9b
+compares the two on their worst cases.
 
 Structure recap (Holm, de Lichtenberg, Thorup, JACM 2001)
 ---------------------------------------------------------

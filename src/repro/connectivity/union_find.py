@@ -1,23 +1,16 @@
-"""Disjoint-set (union-find) structures.
+"""Disjoint-set (union-find) structure.
 
-Two variants:
-
-* :class:`UnionFind` — union by size + path compression; near-O(1)
-  amortized. Used by offline baselines, static component extraction, and
-  the sharded clusterer's boundary merger.
-* :class:`RollbackUnionFind` — union by size *without* path compression,
-  with an undo stack. Needed where unions must be reverted (e.g. trial
-  merges under constraint policies and FM refinement in the multilevel
-  baseline).
-
-Both accept arbitrary hashable elements and create them lazily.
+:class:`UnionFind` — union by size + path compression; near-O(1)
+amortized. Used by offline baselines, static component extraction, and
+the sharded clusterer's boundary merger. It accepts arbitrary hashable
+elements and creates them lazily.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Set
 
-__all__ = ["UnionFind", "RollbackUnionFind"]
+__all__ = ["UnionFind"]
 
 
 class UnionFind:
@@ -99,88 +92,3 @@ class UnionFind:
             by_root.setdefault(self.find(element), set()).add(element)
         return list(by_root.values())
 
-
-class RollbackUnionFind:
-    """DSU with an explicit undo stack (no path compression).
-
-    ``find`` is O(log n) thanks to union by size; every successful or
-    no-op :meth:`union` pushes one undo record so that :meth:`rollback`
-    can restore any earlier state exactly.
-    """
-
-    def __init__(self) -> None:
-        self._parent: Dict[Hashable, Hashable] = {}
-        self._size: Dict[Hashable, int] = {}
-        self._num_sets = 0
-        # Each record is (child_root, parent_root) or None for no-op unions.
-        self._history: List[Tuple[Hashable, Hashable] | None] = []
-
-    def add(self, x: Hashable) -> bool:
-        """Register ``x`` as a singleton set; False if already present.
-
-        Additions are not undoable (rollback only reverts unions), which
-        is sufficient for trial-merge use cases.
-        """
-        if x in self._parent:
-            return False
-        self._parent[x] = x
-        self._size[x] = 1
-        self._num_sets += 1
-        return True
-
-    def find(self, x: Hashable) -> Hashable:
-        """Representative of ``x``'s set (adds ``x`` if new); no compression."""
-        if x not in self._parent:
-            self.add(x)
-            return x
-        while self._parent[x] != x:
-            x = self._parent[x]
-        return x
-
-    def union(self, x: Hashable, y: Hashable) -> bool:
-        """Merge sets of ``x``/``y``; records the operation for rollback."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            self._history.append(None)
-            return False
-        if self._size[rx] < self._size[ry]:
-            rx, ry = ry, rx
-        self._parent[ry] = rx
-        self._size[rx] += self._size[ry]
-        self._num_sets -= 1
-        self._history.append((ry, rx))
-        return True
-
-    def connected(self, x: Hashable, y: Hashable) -> bool:
-        """True if ``x`` and ``y`` are in the same set."""
-        return self.find(x) == self.find(y)
-
-    def set_size(self, x: Hashable) -> int:
-        """Size of the set containing ``x``."""
-        return self._size[self.find(x)]
-
-    @property
-    def num_sets(self) -> int:
-        """Number of disjoint sets."""
-        return self._num_sets
-
-    @property
-    def checkpoint(self) -> int:
-        """Opaque marker for the current state; pass to :meth:`rollback`."""
-        return len(self._history)
-
-    def rollback(self, checkpoint: int) -> None:
-        """Undo all unions performed after ``checkpoint``."""
-        if checkpoint > len(self._history):
-            raise ValueError(
-                f"checkpoint {checkpoint} is in the future "
-                f"(history length {len(self._history)})"
-            )
-        while len(self._history) > checkpoint:
-            record = self._history.pop()
-            if record is None:
-                continue
-            child, parent = record
-            self._parent[child] = child
-            self._size[parent] -= self._size[child]
-            self._num_sets += 1

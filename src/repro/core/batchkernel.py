@@ -1,8 +1,8 @@
 """Array-at-a-time batch kernel (``--kernel numpy``).
 
 The scalar batch loop in :meth:`StreamingGraphClusterer._apply_edge_batch`
-already defers connectivity, but still canonicalizes, interns, packs,
-and draws every reservoir decision one event at a time in Python.
+canonicalizes, interns, packs, draws every reservoir decision and
+updates the component labels one event at a time in Python.
 :class:`NumpyBatchKernel` replaces that per-event work for maximal runs
 of ``ADD_EDGE`` events with whole-array phases:
 
@@ -15,32 +15,31 @@ of ``ADD_EDGE`` events with whole-array phases:
    tight Python loop (dict-of-dict updates do not vectorize); duplicate
    adds are dropped (or raise under ``strict``) with the scalar path's
    exact error and partial-batch semantics.
-3. **Register** — endpoints not yet known to connectivity are found by
-   one boolean gather against a registration bitmap and appended to the
-   deferred first-touch registration list.
+3. **Register** — endpoints not yet in the vertex universe are found by
+   one boolean gather against a registration bitmap and registered in
+   first-touch order.
 4. **Pack + sample** — ``(min_id << 32) | max_id`` keys feed
    :meth:`NumpyPackedEdgeReservoir.insert_many`, which draws the whole
    steady-state accept/evict run from a PCG64 generator in two
    vectorized calls.
-5. **Net diff** — admissions and evictions fold into the existing
-   deferred-connectivity diff (``_conn_diff``); the live structure is
-   only reconciled when something actually needs it, exactly as on the
-   scalar batch path.
+5. **Mark dirty** — a run that admitted anything leaves the component
+   labels dirty instead of updating them per admission; the next reader
+   (a query, a per-event fallback, a checkpoint) rebuilds them from the
+   reservoir slots in one pass.
 
 Statistics granularity
 ----------------------
-The scalar kernel resolves every merge/split exactly (incremental
-labels + budgeted BFS probes). Per-admission component maintenance is
-the dominant cost of that loop, and the partition itself never depends
-on it — clusters are extracted from the reservoir directly. The numpy
-kernel therefore reports ``component_merges``/``component_splits`` as
-**interval-granular estimates**: pending batches are settled lazily (on
-stats access, metrics sync, checkpoint, or any per-event fallback) by
-three vectorized connected-components passes over the sampled edge set
+The scalar kernel counts every merge/split exactly, because it updates
+the component labels per admission. That per-admission work is the
+dominant cost of the scalar loop, and the partition never depends on
+it. The numpy kernel therefore reports
+``component_merges``/``component_splits`` as **interval-granular
+estimates**: pending batches are settled lazily (on stats access,
+metrics sync, checkpoint, or any per-event fallback) by three
+vectorized connected-components passes over the sampled edge set
 (before / before+admitted / after). Merges are exact for the interval
 treated as one bulk update; splits are a lower bound (a component that
-splits and re-merges within one interval is not observed). This mirrors
-the documented conservative statistics of the lazy backend. All other
+splits and re-merges within one interval is not observed). All other
 counters (events, admissions, evictions, malformed, ...) are exact.
 
 Error-path caveat: on a strict-mode :class:`StreamError` the kernel has
@@ -66,7 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["NumpyBatchKernel"]
 
-_MASK32 = 0xFFFFFFFF
 _U32 = np.uint64(32)
 
 _GET_KIND = itemgetter(0)
@@ -78,11 +76,11 @@ class NumpyBatchKernel:
     """Vectorized ADD_EDGE executor bound to one clusterer.
 
     Everything it touches is the clusterer's own state — reservoir,
-    interner, tracked graph, deferred-connectivity bookkeeping — so
-    per-event processing (deletions, vertex events, ``apply``) can
-    interleave freely: :meth:`sync` reconciles the two lazily-maintained
-    pieces (sample adjacency, pending merge/split estimates) before any
-    scalar code that needs them runs.
+    interner, tracked graph, component labels — so per-event processing
+    (deletions, vertex events, ``apply``) can interleave freely:
+    :meth:`sync` reconciles the two lazily-maintained pieces (component
+    labels, pending merge/split estimates) before any scalar code that
+    needs them runs.
     """
 
     __slots__ = (
@@ -90,7 +88,6 @@ class NumpyBatchKernel:
         "_registered",
         "_reg_epoch",
         "_label_map",
-        "adj_stale",
         "stats_pending",
         "_pending_before",
         "_pending_admitted",
@@ -106,7 +103,6 @@ class NumpyBatchKernel:
         self._registered = np.zeros(256, dtype=bool)
         self._reg_epoch = -1  # force a rebuild on first use
         self._label_map = np.full(256, -1, dtype=np.int64)
-        self.adj_stale = False
         self.stats_pending = False
         self._pending_before: Optional[np.ndarray] = None
         self._pending_admitted: List[np.ndarray] = []
@@ -118,8 +114,7 @@ class NumpyBatchKernel:
         """Bring lazily-maintained state current (cheap when it already is)."""
         if self.stats_pending:
             self.settle_stats()
-        if self.adj_stale:
-            self._rebuild_sample_adj()
+        self._c._settled()
 
     def settle_stats(self) -> None:
         """Fold pending batches into ``component_merges``/``component_splits``.
@@ -163,28 +158,18 @@ class NumpyBatchKernel:
             if splits > 0:
                 stats.component_splits += splits
 
-    def _rebuild_sample_adj(self) -> None:
-        """Rebuild ``_sample_adj`` from the reservoir slots (O(sample))."""
-        self.adj_stale = False
-        c = self._c
-        adj = c._sample_adj
-        adj.clear()
-        for key in c._reservoir._slots:
-            ku = key >> 32
-            kv = key & _MASK32
-            adj.setdefault(ku, set()).add(kv)
-            adj.setdefault(kv, set()).add(ku)
-        c._comp_dirty = True
-
     def _registration_bitmap(self) -> np.ndarray:
-        """Bitmap of ids registered with connectivity, epoch-validated."""
+        """Bitmap of ids in the vertex universe, epoch-validated."""
         c = self._c
         size = max(256, len(c._intern) + 1024)
-        if self._reg_epoch != c._conn_epoch:
-            self._reg_epoch = c._conn_epoch
+        if self._reg_epoch != c._vertex_epoch:
+            self._reg_epoch = c._vertex_epoch
             self._registered = np.zeros(size, dtype=bool)
-            if c._conn_ids:
-                self._registered[np.fromiter(c._conn_ids, dtype=np.int64)] = True
+            universe = c._components.universe
+            if universe:
+                self._registered[
+                    np.fromiter(universe, dtype=np.int64, count=len(universe))
+                ] = True
         elif self._registered.size < len(c._intern):
             grown = np.zeros(size, dtype=bool)
             grown[: self._registered.size] = self._registered
@@ -448,10 +433,6 @@ class NumpyBatchKernel:
         n = int(lo.size)
         if n == 0:
             return
-        if not c._conn_stale:
-            # Entering deferred mode: mirror the scalar batch loop's
-            # snapshot of the lazy backend's dirty flag.
-            c._lazy_dirty = bool(getattr(c._conn, "dirty", False))
         stats = c._stats
         pending_error: Optional[BaseException] = None
         n_malformed = 0
@@ -468,7 +449,7 @@ class NumpyBatchKernel:
         structural = False
         try:
             if lo.size:
-                # --- deferred connectivity registration ---------------
+                # --- vertex registration ------------------------------
                 flat = np.empty(lo.size * 2, dtype=np.int64)
                 flat[0::2] = lo
                 flat[1::2] = hi
@@ -479,11 +460,9 @@ class NumpyBatchKernel:
                     uniq, first_idx = np.unique(new_flat, return_index=True)
                     order = np.argsort(first_idx, kind="stable")
                     fresh_ids = uniq[order]
-                    conn_ids = c._conn_ids
-                    fresh_append = c._conn_fresh.append
+                    universe = c._components.universe
                     for vid in fresh_ids.tolist():
-                        conn_ids.add(vid)
-                        fresh_append(vid)
+                        universe[vid] = None
                     registered[fresh_ids] = True
                     structural = True
                 # --- pack + vectorized reservoir admission ------------
@@ -500,36 +479,13 @@ class NumpyBatchKernel:
             if admitted:
                 stats.admissions += len(admitted)
                 structural = True
-                self.adj_stale = True
-                c._comp_dirty = True
+                c._components.dirty = True
                 self.stats_pending = True
                 self._pending_admitted.append(
                     np.asarray(admitted, dtype=np.uint64)
                 )
             if evicted:
                 stats.evictions += len(evicted)
-            # --- net edge diff into deferred connectivity -------------
-            diff = c._conn_diff
-            diff_get = diff.get
-            for key in admitted:
-                delta = diff_get(key, 0) + 1
-                if delta:
-                    diff[key] = delta
-                else:
-                    del diff[key]
-            for key in evicted:
-                delta = diff_get(key, 0) - 1
-                if delta:
-                    diff[key] = delta
-                else:
-                    del diff[key]
-            c._conn_stale = bool(diff) or bool(c._conn_fresh)
-            if (
-                not c._conn_stale
-                and c._lazy_dirty
-                and hasattr(c._conn, "mark_dirty")
-            ):
-                c._conn.mark_dirty()
             if structural:
                 c._invalidate()
             c.kernel_batches += 1

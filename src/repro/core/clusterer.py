@@ -11,20 +11,23 @@ sample of the edges**:
 2. Admissions that would merge components may be vetoed by a
    :class:`~repro.core.constraints.ConstraintPolicy` (bounding cluster
    sizes or the number of clusters — the paper's "desired properties").
-3. A fully-dynamic connectivity structure
-   (:class:`~repro.connectivity.hdt.HDTConnectivity` by default) keeps
-   the components of the sampled sub-graph current as sampled edges come
-   and go.
+3. :class:`~repro.connectivity.labels.ComponentLabels` keeps the
+   components of the sampled sub-graph current as sampled edges come
+   and go: a component id per sampled vertex, relabelling the smaller
+   side on a merge and running an exact bidirectional split search on
+   every sampled deletion. It is the clusterer's only connectivity
+   state; every query reads it, and only :meth:`snapshot` builds a
+   :class:`~repro.quality.partition.Partition`.
 
-Every update is processed online and incrementally in amortized
-poly-logarithmic time; no pass over the full graph is ever required
-(unless the optional RESAMPLE deletion policy is selected).
+Every update is processed online and incrementally; no pass over the
+full graph is ever required (unless the optional RESAMPLE deletion
+policy is selected).
 
 Dense-integer hot path
 ----------------------
 Vertex labels are interned once at the ingestion boundary
 (:class:`~repro.graph.intern.VertexInterner`): every structure past that
-point — reservoir, adjacency, connectivity, caches — works on dense
+point — reservoir, adjacency, component labels — works on dense
 ``u32`` ids, and an edge is a single packed ``(min_id << 32) | max_id``
 int. Labels reappear only at the query/persistence boundary
 (:meth:`snapshot`, :meth:`cluster_members`, :meth:`get_state`). Interning
@@ -38,18 +41,11 @@ Batched ingestion
 :meth:`StreamingGraphClusterer.apply_many` is the high-throughput entry
 point. For the unconstrained random-pairing configuration it amortizes
 the per-event Python overhead across a whole batch: events are consumed
-as plain ``(kind, u, v)`` tuples or :class:`EdgeEvent` objects, stats
-are accumulated in local counters, and — crucially — the fully-dynamic
-connectivity structure is **deferred**: the batch records the sample
-mutations it performs and resolves their exact merge/split outcomes
-afterwards with offline divide-and-conquer connectivity
-(:func:`~repro.connectivity.offline.resolve_sample_timeline`); the live
-structure receives only the *net* edge diff, and only when something
-actually needs it (a per-event :meth:`apply`, a vertex deletion, or
-:meth:`get_state`). Clustering queries between batches are answered from
-the reservoir directly via a cached vertex → component labelling, so
-the end-to-end result — partition, statistics, reservoir content, and
-RNG state — is identical to the per-event path (property-tested in
+as plain ``(kind, u, v)`` tuples or :class:`EdgeEvent` objects, the
+reservoir step is inlined, stats are accumulated in local counters, and
+the component labels are updated in place, so the end-to-end result —
+partition, statistics, reservoir content, and RNG state — is identical
+to the per-event path (property-tested in
 ``tests/test_apply_many_property.py``). See ``docs/performance.md``.
 """
 
@@ -58,19 +54,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from sys import getsizeof
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.connectivity import make_connectivity
-from repro.connectivity.offline import resolve_sample_timeline
+from repro.connectivity.labels import ComponentLabels
 from repro.obs import metrics as _obs
-from repro.connectivity.union_find import UnionFind
 from repro.core.config import ClustererConfig, DeletionPolicy, normalize_config
 from repro.core.constraints import Unconstrained
 from repro.errors import StreamError, UnsupportedOperationError
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.intern import VertexInterner
 from repro.quality.partition import Partition
-from repro.sampling.random_pairing import NOT_ADMITTED, PackedEdgeReservoir
+from repro.sampling.random_pairing import PackedEdgeReservoir
 from repro.streams.events import (
     Edge,
     EdgeEvent,
@@ -152,62 +146,20 @@ class StreamingGraphClusterer:
         self._reservoir: PackedEdgeReservoir = self._make_reservoir(
             child_seed(config.seed, "reservoir")
         )
-        self._conn = make_connectivity(
-            config.connectivity_backend, seed=child_seed(config.seed, "connectivity")
-        )
-        # Ids registered with the connectivity structure. Membership here
-        # replaces a method call per endpoint per event on the hot path;
-        # invariant: ``_conn_ids == set(_conn.vertices()) | set(_conn_fresh)``
-        # (the second term is the batch loop's deferred registrations).
-        self._conn_ids: Set[int] = set()
+        # Sampled adjacency, component labels and the vertex universe,
+        # all by id. Only the numpy kernel leaves the labels dirty (a
+        # restore rebuilds them at once); readers go through `_settled()`.
+        self._components = ComponentLabels()
         self._graph: Optional[AdjacencyGraph] = (
             AdjacencyGraph(interner=self._intern) if config.track_graph else None
         )
         self._rebuild_rng = make_rng(child_seed(config.seed, "rebuild"))
-        # Batched-ingestion state: while `_conn_stale` the connectivity
-        # structure lags the reservoir by the net edge diff in
-        # `_conn_diff` (packed key -> +1 pending insert / -1 pending
-        # delete).
-        self._conn_stale = False
-        self._conn_diff: Dict[int, int] = {}
-        # Vertices first seen by a batch, awaiting registration with the
-        # connectivity structure (flushed, in first-touch order, before
-        # the edge diff). `_conn_ids` is updated immediately, so
-        # membership checks never see the deferral.
-        self._conn_fresh: List[int] = []
-        # Simulates the lazy backend's dirty flag while deferred (other
-        # backends ignore it).
-        self._lazy_dirty = bool(getattr(self._conn, "dirty", False))
-        # Adjacency view of the *sampled* sub-graph (by id), kept in
-        # lockstep with the reservoir. The batch loop resolves most
-        # merge/split booleans with a budgeted BFS over it, skipping both
-        # the live connectivity structure and the offline resolver.
-        self._sample_adj: Dict[int, Set[int]] = {}
-        # Exact component labels over `_sample_adj` (vertex id -> opaque
-        # component id, only for vertices with >= 1 sampled edge), plus
-        # component sizes keyed by those ids. Maintained incrementally by
-        # the batch loop (merge checks become two dict lookups instead of
-        # a BFS; splits relabel the smaller side found by the split BFS);
-        # any sample mutation outside that loop just marks them dirty and
-        # the next batch rebuilds in one O(sample) pass.
-        self._comp: Dict[int, int] = {}
-        self._comp_size: Dict[int, int] = {}
-        self._comp_next = 0
-        self._comp_dirty = False
-        # Cached cluster extraction (id -> representative id),
-        # invalidated by structural changes.
-        self._labels_cache: Optional[Dict[int, int]] = None
+        # Cached cluster extraction, invalidated by structural changes.
         self._partition_cache: Optional[Partition] = None
         #: Number of times a partition was actually (re)built by
         #: :meth:`snapshot` — a probe counter for cache-effectiveness
         #: tests and benchmarks; not part of the persisted state.
         self.partition_builds = 0
-        #: Probe counters for the batched fast path's degradation modes
-        #: (like ``partition_builds``, not persisted): how often a batch
-        #: connectivity probe exhausted its BFS budget, and how often a
-        #: batch fell back to the offline divide-and-conquer resolver.
-        self.probe_budget_hits = 0
-        self.offline_resolves = 0
         #: Probe counters for the numpy batch kernel (not persisted):
         #: vectorized runs executed, events they consumed, and events
         #: that fell back to the per-event path while the kernel was
@@ -215,10 +167,10 @@ class StreamingGraphClusterer:
         self.kernel_batches = 0
         self.kernel_events = 0
         self.kernel_fallback_events = 0
-        # Bumped whenever the connectivity vertex universe changes
-        # outside the batch kernel, invalidating its registration
-        # bitmap (see batchkernel._registration_bitmap).
-        self._conn_epoch = 0
+        # Bumped whenever the vertex universe changes outside the batch
+        # kernel, invalidating its registration bitmap (see
+        # batchkernel._registration_bitmap).
+        self._vertex_epoch = 0
         #: Monotone counter of structural invalidations (sampled edge
         #: set or vertex universe changed since the last extraction
         #: cache build). Ensemble drivers compare version vectors to
@@ -260,8 +212,6 @@ class StreamingGraphClusterer:
     # ------------------------------------------------------------------
     def apply(self, event: EdgeEvent) -> None:
         """Process one stream event."""
-        if self._conn_stale:
-            self._flush_conn()
         if self._kernel is not None:
             self._kernel.sync()
         self.stats.events += 1
@@ -290,8 +240,8 @@ class StreamingGraphClusterer:
         The fast path engages for the unconstrained random-pairing
         configuration; constrained or RESAMPLE configurations fall back
         to per-event processing transparently. Vertex deletions act as
-        batch barriers (they need live connectivity), so streams where
-        they are rare still batch well. Returns self for chaining.
+        batch barriers (they run on the per-event path), so streams
+        where they are rare still batch well. Returns self for chaining.
         """
         config = self.config
         columns = type(events) is EventColumns
@@ -368,8 +318,7 @@ class StreamingGraphClusterer:
 
         With ``batch_size`` (``None``/``0`` disables batching) the
         stream is consumed in chunks through :meth:`apply_many`; larger
-        chunks amortize more per-event overhead at the cost of a longer
-        deferred-resolution horizon per chunk.
+        chunks amortize more per-event overhead.
         """
         if not batch_size:
             for event in events:
@@ -395,20 +344,16 @@ class StreamingGraphClusterer:
         """Consume edge/vertex-add events until exhaustion or a barrier.
 
         Returns the barrier event (vertex deletion) still to be applied,
-        or None when the iterator ran dry. All state the loop defers —
-        stat counters, the sample-mutation timeline, cache invalidation —
-        is settled in the ``finally`` block, so an exception (strict-mode
-        stream error, malformed input) leaves the clusterer exactly as
-        the per-event path would.
+        or None when the iterator ran dry. The stat counters the loop
+        accumulates locally and the cache invalidation are settled in
+        the ``finally`` block, so an exception (strict-mode stream
+        error, malformed input) leaves the clusterer exactly as the
+        per-event path would.
 
         With ``interned=True`` the events are ``(kind, uid, vid)`` edge
         tuples over already-interned ids (pipeline workers); labels are
         then never touched, and non-edge kinds are rejected.
         """
-        if not self._conn_stale:
-            # Entering deferred mode: snapshot what the per-event path
-            # would currently report for the lazy backend's dirty flag.
-            self._lazy_dirty = bool(getattr(self._conn, "dirty", False))
         reservoir = self._reservoir
         reservoir_delete = reservoir.delete
         # The admission step is inlined below (the loop manipulates the
@@ -428,37 +373,19 @@ class StreamingGraphClusterer:
         iget = intern._ids.get
         iadd = intern.intern
         label_of = intern.label_of
-        conn_ids = self._conn_ids
-        fresh_append = self._conn_fresh.append
+        # Component labels are updated in place, exactly as the
+        # per-event path updates them, so merge/split counts are exact.
+        components = self._components
+        universe = components.universe
+        link = components.link
+        cut = components.cut
         strict = self.config.strict
         kind_add = EventKind.ADD_EDGE
         kind_del = EventKind.DELETE_EDGE
         kind_addv = EventKind.ADD_VERTEX
-        not_admitted = NOT_ADMITTED
-        diff = self._conn_diff
-        adj = self._sample_adj
-        # Merge/split booleans come from the maintained component labels
-        # over the sample adjacency: an insert's merge check is two dict
-        # lookups, a deletion's split check is a budgeted bidirectional
-        # BFS (`_split_components`) whose exhausted side doubles as the
-        # relabel set. The first split check to exceed its budget turns
-        # the maintenance off for the rest of the batch; the recorded
-        # timeline is then resolved offline in the finally block and the
-        # labels are rebuilt at the next batch. The lazy backend never
-        # probes (its counters are simulated exactly in _resolve_ops).
-        probing = self.config.connectivity_backend != "lazy"
-        if probing and self._comp_dirty:
-            self._rebuild_components()
-        comp = self._comp
-        comp_get = comp.get
-        comp_size = self._comp_size
-        comp_next = self._comp_next
-        split_check = self._split_components
-        n_merges = n_splits = 0
-        base_labels = self._labels_cache  # pre-batch components, if current
-        ops: List[Tuple[bool, int, int]] = []
         n_events = n_adds = n_deletes = n_vadds = 0
         n_admitted = n_evicted = n_sample_del = n_malformed = 0
+        n_merges = n_splits = 0
         structural = False
         barrier: Optional[EdgeEvent] = None
         try:
@@ -523,13 +450,11 @@ class StreamingGraphClusterer:
                         else:
                             nv[uid] = None
                         g_edges += 1
-                    if uid not in conn_ids:
-                        conn_ids.add(uid)
-                        fresh_append(uid)
+                    if uid not in universe:
+                        universe[uid] = None
                         structural = True
-                    if vid not in conn_ids:
-                        conn_ids.add(vid)
-                        fresh_append(vid)
+                    if vid not in universe:
+                        universe[vid] = None
                         structural = True
                     if uid < vid:
                         ku = uid
@@ -583,91 +508,10 @@ class StreamingGraphClusterer:
                     structural = True
                     if evicted is not None:
                         n_evicted += 1
-                        ev_u = evicted >> 32
-                        ev_v = evicted & _MASK32
-                        adj[ev_u].discard(ev_v)
-                        adj[ev_v].discard(ev_u)
-                        if probing:
-                            cid = comp[ev_u]
-                            if not adj[ev_u]:
-                                n_splits += 1
-                                del comp[ev_u]
-                                if not adj[ev_v]:
-                                    del comp[ev_v]
-                                    del comp_size[cid]
-                                else:
-                                    comp_size[cid] -= 1
-                            elif not adj[ev_v]:
-                                n_splits += 1
-                                del comp[ev_v]
-                                comp_size[cid] -= 1
-                            else:
-                                side = split_check(ev_u, ev_v)
-                                if side is None:
-                                    probing = False
-                                    self.probe_budget_hits += 1
-                                elif side is not True:
-                                    n_splits += 1
-                                    comp_size[cid] -= len(side)
-                                    comp_size[comp_next] = len(side)
-                                    for x in side:
-                                        comp[x] = comp_next
-                                    comp_next += 1
-                        ops.append((False, ev_u, ev_v))
-                        delta = diff.get(evicted, 0) - 1
-                        if delta:
-                            diff[evicted] = delta
-                        else:
-                            del diff[evicted]
-                    if probing:
-                        cu = comp_get(ku)
-                        cv = comp_get(kv)
-                        if cu is None:
-                            n_merges += 1
-                            if cv is None:
-                                comp[ku] = comp[kv] = comp_next
-                                comp_size[comp_next] = 2
-                                comp_next += 1
-                            else:
-                                comp[ku] = cv
-                                comp_size[cv] += 1
-                        elif cv is None:
-                            n_merges += 1
-                            comp[kv] = cu
-                            comp_size[cu] += 1
-                        elif cu != cv:
-                            n_merges += 1
-                            # Relabel the smaller component into the
-                            # larger before the new edge joins them.
-                            if comp_size[cu] < comp_size[cv]:
-                                small, into, start = cu, cv, ku
-                            else:
-                                small, into, start = cv, cu, kv
-                            comp[start] = into
-                            stack = [start]
-                            while stack:
-                                x = stack.pop()
-                                for y in adj[x]:
-                                    if comp[y] != into:
-                                        comp[y] = into
-                                        stack.append(y)
-                            comp_size[into] += comp_size.pop(small)
-                    neighbours = adj.get(ku)
-                    if neighbours is None:
-                        adj[ku] = {kv}
-                    else:
-                        neighbours.add(kv)
-                    neighbours = adj.get(kv)
-                    if neighbours is None:
-                        adj[kv] = {ku}
-                    else:
-                        neighbours.add(ku)
-                    ops.append((True, ku, kv))
-                    delta = diff.get(key, 0) + 1
-                    if delta:
-                        diff[key] = delta
-                    else:
-                        del diff[key]
+                        if cut(evicted >> 32, evicted & _MASK32):
+                            n_splits += 1
+                    if link(ku, kv):
+                        n_merges += 1
                 elif kind is kind_del:
                     if interned:
                         uid = u
@@ -705,44 +549,11 @@ class StreamingGraphClusterer:
                     else:
                         ku = vid
                         kv = uid
-                    key = (ku << 32) | kv
-                    if reservoir_delete(key):
+                    if reservoir_delete((ku << 32) | kv):
                         n_sample_del += 1
                         structural = True
-                        adj[ku].discard(kv)
-                        adj[kv].discard(ku)
-                        if probing:
-                            cid = comp[ku]
-                            if not adj[ku]:
-                                n_splits += 1
-                                del comp[ku]
-                                if not adj[kv]:
-                                    del comp[kv]
-                                    del comp_size[cid]
-                                else:
-                                    comp_size[cid] -= 1
-                            elif not adj[kv]:
-                                n_splits += 1
-                                del comp[kv]
-                                comp_size[cid] -= 1
-                            else:
-                                side = split_check(ku, kv)
-                                if side is None:
-                                    probing = False
-                                    self.probe_budget_hits += 1
-                                elif side is not True:
-                                    n_splits += 1
-                                    comp_size[cid] -= len(side)
-                                    comp_size[comp_next] = len(side)
-                                    for x in side:
-                                        comp[x] = comp_next
-                                    comp_next += 1
-                        ops.append((False, ku, kv))
-                        delta = diff.get(key, 0) - 1
-                        if delta:
-                            diff[key] = delta
-                        else:
-                            del diff[key]
+                        if cut(ku, kv):
+                            n_splits += 1
                 elif kind is kind_addv:
                     if interned:
                         raise ValueError(
@@ -757,13 +568,12 @@ class StreamingGraphClusterer:
                         uid = iadd(u)
                     if graph is not None:
                         graph.add_vertex_id(uid)
-                    if uid not in conn_ids:
-                        conn_ids.add(uid)
-                        fresh_append(uid)
+                    if uid not in universe:
+                        universe[uid] = None
                         structural = True
                 else:
                     # DELETE_VERTEX (or an unknown kind, which apply()
-                    # rejects): a barrier needing live connectivity.
+                    # rejects): a barrier for the per-event path.
                     if interned:
                         raise ValueError(
                             "interned batches may contain only edge events"
@@ -785,257 +595,25 @@ class StreamingGraphClusterer:
             stats.evictions += n_evicted
             stats.sample_deletions += n_sample_del
             stats.malformed_events += n_malformed
-            self._comp_next = comp_next
-            if ops and not probing:
-                # The labels stopped being maintained (budget hit) or
-                # never were (lazy backend): rebuild before next use.
-                self._comp_dirty = True
-            if ops:
-                if probing:
-                    merges, splits = n_merges, n_splits
-                else:
-                    merges, splits = self._resolve_ops(base_labels, ops)
-                stats.component_merges += merges
-                stats.component_splits += splits
-            self._conn_stale = bool(diff) or bool(self._conn_fresh)
-            if (
-                not self._conn_stale
-                and self._lazy_dirty
-                and hasattr(self._conn, "mark_dirty")
-            ):
-                # The net diff cancelled out, so no flush will run — but a
-                # deletion still happened, and the per-event path would
-                # have dirtied the lazy backend's cache.
-                self._conn.mark_dirty()
+            stats.component_merges += n_merges
+            stats.component_splits += n_splits
             if structural:
                 self._invalidate()
             if _obs._ENABLED:
                 self.sync_metrics()
         return barrier
 
-    def _split_components(
-        self, u: int, v: int, budget: int = 1024
-    ) -> Union[None, bool, Set[int]]:
-        """Did deleting sampled edge ``(u, v)`` split their component?
-
-        Bidirectional BFS over the (already updated) sample adjacency,
-        always expanding the smaller frontier. Returns ``True`` if the
-        endpoints are still connected, ``None`` once the search has
-        visited ``budget`` vertices (the batch loop then falls back to
-        offline resolution and rebuilds the component labels), and on a
-        split the full vertex set of the side whose frontier exhausted —
-        exactly the set the caller must relabel, discovered for free by
-        the search that proved the split.
-        """
-        adj = self._sample_adj
-        frontier_a = adj[u]
-        frontier_b = adj[v]
-        if not frontier_a.isdisjoint(frontier_b):
-            # Common neighbour: the endpoints sat on a triangle, so the
-            # deletion cannot have split them. Catches most "still
-            # connected" answers on clustered graphs for one C-level
-            # set intersection test.
-            return True
-        seen_a = {u}
-        seen_b = {v}
-        visited = 2
-        while frontier_a and frontier_b:
-            if visited > budget:
-                return None
-            if len(frontier_a) > len(frontier_b):
-                frontier_a, frontier_b = frontier_b, frontier_a
-                seen_a, seen_b = seen_b, seen_a
-            if not frontier_a.isdisjoint(seen_b):
-                return True
-            frontier_a = frontier_a - seen_a
-            seen_a |= frontier_a
-            visited += len(frontier_a)
-            layer: Set[int] = set()
-            for x in frontier_a:
-                layer |= adj[x]
-            frontier_a = layer
-        if not frontier_a.isdisjoint(seen_b) or not frontier_b.isdisjoint(
-            seen_a
-        ):
-            return True
-        return seen_a if not frontier_a else seen_b
-
-    def _rebuild_components(self) -> None:
-        """Recompute the sample component labels in one O(sample) pass.
-
-        Runs at the top of a batch when anything outside the batch loop
-        mutated the sample (per-event ingestion, a resample, a restore)
-        or a split check ran out of budget mid-batch.
-        """
-        adj = self._sample_adj
-        comp: Dict[int, int] = {}
-        sizes: Dict[int, int] = {}
-        cid = 0
-        for start, neighbours in adj.items():
-            if start in comp or not neighbours:
-                continue
-            members = [start]
-            comp[start] = cid
-            for x in members:
-                for y in adj[x]:
-                    if y not in comp:
-                        comp[y] = cid
-                        members.append(y)
-            sizes[cid] = len(members)
-            cid += 1
-        self._comp = comp
-        self._comp_size = sizes
-        self._comp_next = cid
-        self._comp_dirty = False
-
-    def _pre_batch_sample(self, ops: List[Tuple[bool, int, int]]) -> Set[int]:
-        """Reconstruct the pre-batch sample by reversing the op timeline.
-
-        The batch loop never snapshots the reservoir (most batches
-        resolve every boolean by probing and never need the base), so
-        the rare offline paths rebuild it here: walk the recorded
-        mutations backwards from the current (post-batch) sample.
-        """
-        sample = set(self._reservoir)
-        for is_insert, u, v in reversed(ops):
-            key = (u << 32) | v
-            if is_insert:
-                sample.discard(key)
-            else:
-                sample.add(key)
-        return sample
-
-    def _resolve_ops(
-        self,
-        base_labels: Optional[Dict[int, int]],
-        ops: List[Tuple[bool, int, int]],
-    ) -> Tuple[int, int]:
-        """Exact merge/split counts for a batch's sample mutations.
-
-        For the hdt/naive backends this reproduces the online structure's
-        exact booleans via offline divide-and-conquer connectivity (with
-        an O(ops) union-find shortcut for deletion-free timelines). For
-        the lazy backend it reproduces that backend's documented
-        conservative semantics: exact while its cache would be clean,
-        "always True" once a deletion would have dirtied it.
-        """
-        if self.config.connectivity_backend == "lazy":
-            merges = splits = 0
-            dirty = self._lazy_dirty
-            rest = ops
-            if not dirty:
-                first_delete = len(ops)
-                for t, op in enumerate(ops):
-                    if not op[0]:
-                        first_delete = t
-                        break
-                if first_delete:
-                    merges += self._count_insert_merges(
-                        base_labels, ops[:first_delete], ops
-                    )
-                rest = ops[first_delete:]
-            for op in rest:
-                if op[0]:
-                    merges += 1
-                else:
-                    splits += 1
-                    dirty = True
-            self._lazy_dirty = dirty
-            return merges, splits
-        for op in ops:
-            if not op[0]:
-                break
-        else:
-            return self._count_insert_merges(base_labels, ops, ops), 0
-        self.offline_resolves += 1
-        # The resolver consults the base edge set only when it cannot use
-        # the cached component labels — no labels available, or the
-        # timeline deletes a base edge (one the batch did not insert).
-        need_base = base_labels is None
-        if not need_base:
-            open_keys: Set[int] = set()
-            for is_insert, u, v in ops:
-                key = (u << 32) | v
-                if is_insert:
-                    open_keys.add(key)
-                elif key in open_keys:
-                    open_keys.discard(key)
-                else:
-                    need_base = True
-                    break
-        base_edges: Iterable[Tuple[int, int]] = ()
-        if need_base:
-            base_edges = [
-                (key >> 32, key & _MASK32) for key in self._pre_batch_sample(ops)
-            ]
-        flags = resolve_sample_timeline(base_edges, ops, base_labels=base_labels)
-        merges = splits = 0
-        for op, flag in zip(ops, flags):
-            if flag:
-                if op[0]:
-                    merges += 1
-                else:
-                    splits += 1
-        return merges, splits
-
-    def _count_insert_merges(
-        self,
-        base_labels: Optional[Dict[int, int]],
-        inserts: List[Tuple[bool, int, int]],
-        all_ops: List[Tuple[bool, int, int]],
-    ) -> int:
-        """Merge count for a deletion-free insert timeline (plain DSU).
-
-        ``inserts`` may be a prefix of ``all_ops`` (the lazy backend
-        counts only up to the first deletion); the full timeline is what
-        reconstructs the pre-batch sample when no labels are cached.
-        """
-        uf = UnionFind()
-        union = uf.union
-        merges = 0
-        if base_labels is None:
-            for key in self._pre_batch_sample(all_ops):
-                union(key >> 32, key & _MASK32)
-            for _, u, v in inserts:
-                if union(u, v):
-                    merges += 1
-        else:
-            get_label = base_labels.get
-            for _, u, v in inserts:
-                if union(get_label(u, u), get_label(v, v)):
-                    merges += 1
-        return merges
-
-    def _flush_conn(self) -> None:
-        """Apply the deferred net edge diff to the connectivity structure.
-
-        Return values are discarded — the exact merge/split outcomes were
-        already resolved offline per batch. Deletes go first so an edge
-        slot freed by one net change can be refilled by another.
-        """
-        conn = self._conn
-        fresh = self._conn_fresh
-        if fresh:
-            add = conn.add_vertex
-            for vid in fresh:
-                add(vid)
-            fresh.clear()
-        diff = self._conn_diff
-        inserts: List[int] = []
-        for key, delta in diff.items():
-            if delta < 0:
-                conn.delete_edge(key >> 32, key & _MASK32)
-            else:
-                inserts.append(key)
-        for key in inserts:
-            conn.insert_edge(key >> 32, key & _MASK32)
-        diff.clear()
-        self._conn_stale = False
-        if self._lazy_dirty and hasattr(conn, "mark_dirty"):
-            conn.mark_dirty()
+    def _settled(self) -> ComponentLabels:
+        """The component labels, rebuilt from the reservoir in one pass
+        if the numpy kernel left them dirty."""
+        components = self._components
+        if components.dirty:
+            components.rebuild(
+                (key >> 32, key & _MASK32) for key in self._reservoir
+            )
+        return components
 
     def _invalidate(self) -> None:
-        self._labels_cache = None
         self._partition_cache = None
         self.structure_version += 1
 
@@ -1053,46 +631,29 @@ class StreamingGraphClusterer:
             if not self._graph.add_edge_ids(uid, vid):
                 self._malformed(f"duplicate ADD_EDGE ({u!r}, {v!r})")
                 return
-        conn_ids = self._conn_ids
-        fresh = False
-        if uid not in conn_ids:
-            self._conn.add_vertex(uid)
-            conn_ids.add(uid)
-            fresh = True
-        if vid not in conn_ids:
-            self._conn.add_vertex(vid)
-            conn_ids.add(vid)
-            fresh = True
-        if fresh:
-            self._conn_epoch += 1
+        components = self._components
+        fresh_u = components.add_vertex(uid)
+        fresh_v = components.add_vertex(vid)
+        if fresh_u or fresh_v:
+            self._vertex_epoch += 1
             self._invalidate()
         key = (uid << 32) | vid if uid < vid else (vid << 32) | uid
         proposal = self._reservoir.propose_insert(key)
         if not proposal.admit:
             return
-        if not self.config.constraint.allows(self._conn, uid, vid):
+        if not self.config.constraint.allows(components, uid, vid):
             self._reservoir.abort(proposal)
             self.stats.vetoes += 1
             return
         self._reservoir.commit(proposal)
         self._invalidate()
-        self._comp_dirty = True
         self.stats.admissions += 1
-        adj = self._sample_adj
         evicted = proposal.evicted
         if evicted is not None:
             self.stats.evictions += 1
-            ev_u = evicted >> 32
-            ev_v = evicted & _MASK32
-            adj[ev_u].discard(ev_v)
-            adj[ev_v].discard(ev_u)
-            if self._conn.delete_edge(ev_u, ev_v):
+            if components.cut(evicted >> 32, evicted & _MASK32):
                 self.stats.component_splits += 1
-        ku = key >> 32
-        kv = key & _MASK32
-        adj.setdefault(ku, set()).add(kv)
-        adj.setdefault(kv, set()).add(ku)
-        if self._conn.insert_edge(uid, vid):
+        if components.link(key >> 32, key & _MASK32):
             self.stats.component_merges += 1
 
     def _on_delete_edge(self, u: Vertex, v: Vertex) -> None:
@@ -1108,12 +669,7 @@ class StreamingGraphClusterer:
         if self._reservoir.delete(key):
             self.stats.sample_deletions += 1
             self._invalidate()
-            self._comp_dirty = True
-            ku = key >> 32
-            kv = key & _MASK32
-            self._sample_adj[ku].discard(kv)
-            self._sample_adj[kv].discard(ku)
-            if self._conn.delete_edge(ku, kv):
+            if self._components.cut(key >> 32, key & _MASK32):
                 self.stats.component_splits += 1
         self._maybe_resample()
 
@@ -1122,10 +678,8 @@ class StreamingGraphClusterer:
         uid = self._intern.intern(v)
         if self._graph is not None:
             self._graph.add_vertex_id(uid)
-        if uid not in self._conn_ids:
-            self._conn.add_vertex(uid)
-            self._conn_ids.add(uid)
-            self._conn_epoch += 1
+        if self._components.add_vertex(uid):
+            self._vertex_epoch += 1
             self._invalidate()
 
     def _on_delete_vertex(self, v: Vertex) -> None:
@@ -1144,20 +698,14 @@ class StreamingGraphClusterer:
             self._malformed(f"DELETE_VERTEX of absent vertex {v!r}")
             return
         self._invalidate()
-        adj = self._sample_adj
+        components = self._components
         for key in self._graph.remove_vertex_id(uid):
             if self._reservoir.delete(key):
                 self.stats.sample_deletions += 1
-                self._comp_dirty = True
-                ku = key >> 32
-                kv = key & _MASK32
-                adj[ku].discard(kv)
-                adj[kv].discard(ku)
-                if self._conn.delete_edge(ku, kv):
+                if components.cut(key >> 32, key & _MASK32):
                     self.stats.component_splits += 1
-        if self._conn.remove_vertex_if_isolated(uid):
-            self._conn_ids.discard(uid)
-            self._conn_epoch += 1
+        if components.remove_vertex_if_isolated(uid):
+            self._vertex_epoch += 1
         self._maybe_resample()
 
     def _malformed(self, message: str) -> None:
@@ -1179,27 +727,17 @@ class StreamingGraphClusterer:
         self._rebuild_sample()
 
     def _rebuild_sample(self) -> None:
-        """Rebuild reservoir + connectivity from the tracked graph (O(m))."""
+        """Rebuild reservoir + component labels from the tracked graph (O(m))."""
         assert self._graph is not None
         self.stats.resamples += 1
         self._invalidate()
-        self._conn_stale = False
-        self._conn_diff.clear()
-        self._conn_fresh.clear()
         self._reservoir = self._make_reservoir(
             child_seed(self.config.seed, "reservoir", self.stats.resamples)
         )
-        self._conn = make_connectivity(
-            self.config.connectivity_backend,
-            seed=child_seed(self.config.seed, "connectivity", self.stats.resamples),
-        )
-        self._lazy_dirty = bool(getattr(self._conn, "dirty", False))
-        self._conn_epoch += 1
-        conn_ids = self._conn_ids
-        conn_ids.clear()
+        self._components = components = ComponentLabels()
+        self._vertex_epoch += 1
         for vid in self._graph.vertex_ids():
-            self._conn.add_vertex(vid)
-            conn_ids.add(vid)
+            components.add_vertex(vid)
         # Sort before shuffling: edge_list() order reflects adjacency
         # layout, which is not reproducible across processes (string
         # hashing) or checkpoint restores; sorting makes the shuffled
@@ -1214,23 +752,15 @@ class StreamingGraphClusterer:
             proposal = self._reservoir.propose_insert(key)
             if not proposal.admit:
                 continue
-            if not self.config.constraint.allows(self._conn, uid, vid):
+            if not self.config.constraint.allows(components, uid, vid):
                 self._reservoir.abort(proposal)
                 self.stats.vetoes += 1
                 continue
             self._reservoir.commit(proposal)
             evicted = proposal.evicted
             if evicted is not None:
-                self._conn.delete_edge(evicted >> 32, evicted & _MASK32)
-            self._conn.insert_edge(uid, vid)
-        adj = self._sample_adj
-        adj.clear()
-        for key in self._reservoir:
-            ku = key >> 32
-            kv = key & _MASK32
-            adj.setdefault(ku, set()).add(kv)
-            adj.setdefault(kv, set()).add(ku)
-        self._comp_dirty = True
+                components.cut(evicted >> 32, evicted & _MASK32)
+            components.link(key >> 32, key & _MASK32)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -1243,22 +773,15 @@ class StreamingGraphClusterer:
     def get_state(self) -> dict:
         """Complete serializable state for checkpointing (format 2).
 
-        The connectivity structure is *not* serialized: it holds exactly
-        the sampled edges, so it is rebuilt from the reservoir and the
-        vertex set on restore. Component structure (the clustering) is
-        an exact function of those, so the rebuilt structure answers
-        every query identically; only its internal balancing randomness
-        differs, which is unobservable. Any deferred batch diff is
-        flushed first, so batched and per-event runs checkpoint
-        identically.
+        The component labels are *not* serialized: they are an exact
+        function of the sampled edges, so they are rebuilt from the
+        reservoir on restore and answer every query identically.
 
         Everything label-facing is externalized: the intern table as a
         label list in id order, the reservoir sample as label-canonical
-        edge tuples in slot order, the connectivity vertex set as labels
-        in registration order.
+        edge tuples in slot order, the vertex universe as labels in
+        registration order.
         """
-        if self._conn_stale:
-            self._flush_conn()
         if self._kernel is not None:
             self._kernel.settle_stats()
         extern_key = self._extern_key
@@ -1275,8 +798,7 @@ class StreamingGraphClusterer:
             "stats": self.stats.as_dict(),
             "intern": self._intern.labels(),
             "reservoir": reservoir_state,
-            "conn_vertices": [label_of(vid) for vid in self._conn.vertices()],
-            "conn_dirty": bool(getattr(self._conn, "dirty", False)),
+            "conn_vertices": [label_of(vid) for vid in self._components.universe],
             "rebuild_rng_state": self._rebuild_rng.getstate(),
             "graph": self._graph.get_state() if self._graph is not None else None,
         }
@@ -1288,8 +810,8 @@ class StreamingGraphClusterer:
         The restored clusterer replays any stream tail to the *identical*
         partition, stats, and reservoir as an uninterrupted run: the
         intern table, reservoir RNG state and slot order, the rebuild
-        RNG, and the tracked graph are exact, and connectivity answers
-        are exact by construction.
+        RNG, and the tracked graph are exact, and the component labels
+        are rebuilt from the reservoir.
 
         Format-1 states (pre-interning; no ``"format"`` key) still load:
         the intern table is derived from the persisted label-space
@@ -1350,21 +872,10 @@ class StreamingGraphClusterer:
             clusterer._reservoir = PackedEdgeReservoir.from_state(
                 reservoir_state, id_limit=len(intern)
             )
-        adj = clusterer._sample_adj
-        for key in clusterer._reservoir:
-            ku = key >> 32
-            kv = key & _MASK32
-            adj.setdefault(ku, set()).add(kv)
-            adj.setdefault(kv, set()).add(ku)
-        clusterer._comp_dirty = True
-        resamples = clusterer.stats.resamples
-        conn_seed = (
-            child_seed(config.seed, "connectivity")
-            if resamples == 0
-            else child_seed(config.seed, "connectivity", resamples)
-        )
-        conn = make_connectivity(config.connectivity_backend, seed=conn_seed)
-        conn_ids = clusterer._conn_ids
+        # States written by older releases may also carry "conn_dirty"
+        # (a retired backend's cache flag); it never affected the
+        # clustering and is ignored.
+        components = clusterer._components
         for label in state["conn_vertices"]:
             vid = id_of(label)
             if vid is None:
@@ -1372,15 +883,11 @@ class StreamingGraphClusterer:
                     f"corrupt clusterer state: connectivity vertex {label!r} "
                     f"is missing from the intern table"
                 )
-            conn.add_vertex(vid)
-            conn_ids.add(vid)
-        for key in clusterer._reservoir:
-            conn.insert_edge(key >> 32, key & _MASK32)
-        if state.get("conn_dirty") and hasattr(conn, "mark_dirty"):
-            conn.mark_dirty()
-        clusterer._conn = conn
-        clusterer._conn_epoch += 1
-        clusterer._lazy_dirty = bool(getattr(conn, "dirty", False))
+            components.add_vertex(vid)
+        # Rebuild the labels from the restored reservoir in one pass.
+        components.dirty = True
+        clusterer._settled()
+        clusterer._vertex_epoch += 1
         clusterer._rebuild_rng = make_rng(0)
         clusterer._rebuild_rng.setstate(state["rebuild_rng_state"])
         graph_state = state["graph"]
@@ -1394,52 +901,27 @@ class StreamingGraphClusterer:
     # ------------------------------------------------------------------
     # Clustering queries
     # ------------------------------------------------------------------
-    def _labels(self) -> Dict[int, int]:
-        """Vertex id → component-representative id over the current sample.
-
-        Built directly from the reservoir and the vertex universe (both
-        always current, even while connectivity updates are deferred) and
-        cached until the next structural change.
-        """
-        labels = self._labels_cache
-        if labels is None:
-            uf = UnionFind()
-            union = uf.union
-            for key in self._reservoir:
-                union(key >> 32, key & _MASK32)
-            find = uf.find
-            labels = {vid: find(vid) for vid in self._conn.vertices()}
-            for vid in self._conn_fresh:
-                labels[vid] = find(vid)
-            self._labels_cache = labels
-        return labels
-
     def cluster_id(self, v: Vertex) -> object:
-        """Opaque id of ``v``'s cluster, valid until the next update."""
+        """Opaque id of ``v``'s cluster, valid until the next update.
+
+        ``cluster_id(u) == cluster_id(v)`` exactly when
+        ``same_cluster(u, v)``: a vertex with a sampled edge gets its
+        component id (an int), every other label — singleton, deleted,
+        never registered or never seen — ``frozenset({v})``.
+        """
         uid = self._intern.id_of(v)
-        if uid is None:
-            return frozenset({v})
-        if self._conn_stale:
-            labels = self._labels()
-            if uid in labels:
-                return labels[uid]
-        members = getattr(self._conn, "component_id", None)
-        if members is not None:
-            return members(uid)
-        return frozenset(self._conn.component_members(uid))
+        cid = None if uid is None else self._settled().comp.get(uid)
+        return frozenset({v}) if cid is None else cid
 
     def cluster_members(self, v: Vertex) -> FrozenSet[Vertex]:
         """All vertices clustered with ``v`` (including ``v``)."""
         uid = self._intern.id_of(v)
         if uid is None:
             return frozenset({v})
-        if self._conn_stale:
-            partition = self.snapshot()
-            if v in partition:
-                return partition.members(partition.label_of(v))
         label_of = self._intern.label_of
         return frozenset(
-            label_of(member) for member in self._conn.component_members(uid)
+            label_of(member)
+            for member in self._settled().component_members(uid)
         )
 
     def cluster_size(self, v: Vertex) -> int:
@@ -1447,11 +929,7 @@ class StreamingGraphClusterer:
         uid = self._intern.id_of(v)
         if uid is None:
             return 1
-        if self._conn_stale:
-            partition = self.snapshot()
-            if v in partition:
-                return len(partition.members(partition.label_of(v)))
-        return self._conn.component_size(uid)
+        return self._settled().component_size(uid)
 
     def same_cluster(self, u: Vertex, v: Vertex) -> bool:
         """True if ``u`` and ``v`` are currently in the same cluster."""
@@ -1459,30 +937,19 @@ class StreamingGraphClusterer:
         uid = id_of(u)
         vid = id_of(v)
         if uid is None or vid is None:
-            # Never-seen labels are singletons (the connectivity
-            # structures' documented unknown-vertex contract).
+            # Never-seen labels are singletons.
             return u == v
-        if self._conn_stale:
-            labels = self._labels()
-            label_u = labels.get(uid)
-            label_v = labels.get(vid)
-            if label_u is not None and label_v is not None:
-                return label_u == label_v
-        return self._conn.connected(uid, vid)
+        return self._settled().connected(uid, vid)
 
     @property
     def num_clusters(self) -> int:
         """Number of clusters (components of the sampled sub-graph)."""
-        if self._conn_stale:
-            return self.snapshot().num_clusters
-        return self._conn.num_components
+        return self._settled().num_components
 
     @property
     def num_vertices(self) -> int:
         """Number of vertices the clusterer has seen and not deleted."""
-        # `_conn_ids` mirrors the connectivity universe and, unlike the
-        # structure itself, already includes batch-deferred vertices.
-        return len(self._conn_ids)
+        return len(self._components.universe)
 
     def snapshot(self) -> Partition:
         """The current clustering as an immutable :class:`Partition`.
@@ -1494,20 +961,15 @@ class StreamingGraphClusterer:
         partition = self._partition_cache
         if partition is None:
             label_of = self._intern.label_of
-            if self._conn_stale:
-                partition = Partition(
-                    {
-                        label_of(vid): label_of(rep)
-                        for vid, rep in self._labels().items()
-                    }
-                )
-            else:
-                partition = Partition.from_clusters(
-                    [
-                        {label_of(member) for member in members}
-                        for members in self._conn.components()
-                    ]
-                )
+            comp_get = self._settled().comp.get
+            # Singletons get ``~vid``, a negative label no component id
+            # can take.
+            partition = Partition(
+                {
+                    label_of(vid): comp_get(vid, ~vid)
+                    for vid in self._components.universe
+                }
+            )
             self._partition_cache = partition
             self.partition_builds += 1
             if _obs._ENABLED:
@@ -1517,9 +979,7 @@ class StreamingGraphClusterer:
     def vertices(self) -> Iterable[Vertex]:
         """Iterate over all vertices the clusterer currently knows."""
         label_of = self._intern.label_of
-        ids = list(self._conn.vertices())
-        ids.extend(self._conn_fresh)
-        return [label_of(vid) for vid in ids]
+        return [label_of(vid) for vid in self._components.universe]
 
     # ------------------------------------------------------------------
     # Observability
@@ -1541,8 +1001,6 @@ class StreamingGraphClusterer:
     )
     _METRIC_PROBE_FIELDS = (
         "partition_builds",
-        "probe_budget_hits",
-        "offline_resolves",
         "kernel_batches",
         "kernel_events",
         "kernel_fallback_events",
@@ -1585,7 +1043,7 @@ class StreamingGraphClusterer:
         registry.gauge("clusterer.reservoir_fill").set(
             size / self.config.reservoir_capacity
         )
-        registry.gauge("clusterer.num_vertices").set(len(self._conn_ids))
+        registry.gauge("clusterer.num_vertices").set(self.num_vertices)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1605,22 +1063,21 @@ class StreamingGraphClusterer:
 
         Counts the reservoir slot storage (an ``array('Q')`` of packed
         edge keys), the item→slot index with its key objects, the
-        deferred-batch sample adjacency, and the incremental component
-        labels over it — the per-sampled-edge state the dense-id
-        refactor shrank. An accounting estimate for E10-style
-        comparisons, not an allocator-exact figure.
+        sample adjacency, and the component labels over it — the
+        per-sampled-edge state the dense-id refactor shrank. An
+        accounting estimate for E10-style comparisons, not an
+        allocator-exact figure.
         """
-        if self._kernel is not None:
-            self._kernel.sync()
+        components = self._settled()
         reservoir = self._reservoir
         size = getsizeof(reservoir._slots) + getsizeof(reservoir._slot_of)
         for key in reservoir._slot_of:
             size += getsizeof(key)
-        adj = self._sample_adj
+        adj = components.adj
         size += getsizeof(adj)
         for neighbours in adj.values():
             size += getsizeof(neighbours)
-        return size + getsizeof(self._comp) + getsizeof(self._comp_size)
+        return size + getsizeof(components.comp) + getsizeof(components.size)
 
     def reservoir_edges(self) -> List[Edge]:
         """The sampled edges as label-canonical tuples (copy)."""

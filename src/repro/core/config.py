@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.core.constraints import ConstraintPolicy, Unconstrained
 from repro.util.validation import check_positive, check_probability
@@ -41,12 +41,6 @@ class ClustererConfig:
     constraint:
         Admission policy enforcing cluster-shape properties
         (:mod:`repro.core.constraints`).
-    connectivity_backend:
-        ``"hdt"`` (default, poly-log worst-case updates), ``"naive"``
-        (BFS; best constants for small bounded clusters), or ``"lazy"``
-        (union-find rebuilt at query time; fastest for query-sparse
-        unconstrained ingestion — merge/split *statistics* become
-        conservative upper bounds under it).
     track_graph:
         Keep the full graph in memory. Required for vertex deletions,
         duplicate detection under ``strict``, the RESAMPLE policy, and
@@ -63,9 +57,8 @@ class ClustererConfig:
     seed:
         Master seed; all internal randomness derives from it.
     batch_fast_path:
-        Allow ``apply_many`` to use the deferred-connectivity batch
-        ingestion path (unconstrained random-pairing configurations
-        only). The result is identical either way; disable only to
+        Allow ``apply_many`` to use the inlined batch ingestion loop
+        (unconstrained random-pairing configurations only). The result is identical either way; disable only to
         force the per-event reference path, e.g. when benchmarking it.
     kernel:
         Which sampling kernel drives batched ingestion. ``"scalar"``
@@ -80,7 +73,6 @@ class ClustererConfig:
 
     reservoir_capacity: int
     constraint: ConstraintPolicy = field(default_factory=Unconstrained)
-    connectivity_backend: str = "hdt"
     track_graph: bool = True
     strict: bool = True
     deletion_policy: DeletionPolicy = DeletionPolicy.RANDOM_PAIRING
@@ -92,11 +84,6 @@ class ClustererConfig:
     def __post_init__(self) -> None:
         check_positive("reservoir_capacity", self.reservoir_capacity)
         check_probability("resample_threshold", self.resample_threshold)
-        if self.connectivity_backend not in ("hdt", "naive", "lazy"):
-            raise ValueError(
-                "connectivity_backend must be 'hdt', 'naive', or 'lazy', "
-                f"got {self.connectivity_backend!r}"
-            )
         if not isinstance(self.constraint, ConstraintPolicy):
             raise TypeError(
                 "constraint must be a ConstraintPolicy instance, "
@@ -121,13 +108,20 @@ class ClustererConfig:
 
 
 def normalize_config(config: ClustererConfig) -> ClustererConfig:
-    """Backfill fields on configs pickled before they existed.
+    """Bring a config pickled by an older release to the current fields.
 
-    Checkpoints embed the pickled dataclass; one written before the
+    Checkpoints embed the pickled dataclass. One written before the
     ``kernel`` field was added unpickles without the attribute (which
-    would break attribute access *and* dataclass equality). Such a
-    checkpoint was by construction written by the scalar kernel.
+    would break attribute access *and* dataclass equality); such a
+    checkpoint was by construction written by the scalar kernel. One
+    written before a field was retired (the connectivity backend
+    choice, which never changed the clustering) still carries it; the
+    stale attribute is dropped, so the next checkpoint is written
+    without it.
     """
     if not hasattr(config, "kernel"):
         config.kernel = "scalar"
+    current = {f.name for f in fields(config)}
+    for name in [name for name in vars(config) if name not in current]:
+        delattr(config, name)
     return config

@@ -7,8 +7,10 @@ insertion into the sampled sub-graph would merge two components, a
 constraint policy may veto the admission so that the declared clustering
 keeps the desired shape.
 
-Policies are stateless predicates over the current connectivity
-structure, so a single instance can be shared between clusterers.
+Policies are stateless predicates over the clusterer's current
+:class:`~repro.connectivity.labels.ComponentLabels` (anything with
+``connected``, ``component_size`` and ``num_components`` will do), so a
+single instance can be shared between clusterers.
 """
 
 from __future__ import annotations

@@ -120,7 +120,6 @@ def _shard_config(config: ClustererConfig, shard: int, num_shards: int) -> Clust
     return ClustererConfig(
         reservoir_capacity=capacity,
         constraint=config.constraint,
-        connectivity_backend=config.connectivity_backend,
         track_graph=config.track_graph,
         strict=config.strict,
         deletion_policy=config.deletion_policy,
@@ -716,7 +715,10 @@ def _run_supervised_pool(
         # Enforce deadlines and notice silent deaths.
         now = monotonic()
         for shard in list(running):
-            process, deadline = running[shard]
+            entry = running.get(shard)
+            if entry is None:
+                continue  # its late report was consumed by an earlier shard
+            process, deadline = entry
             if now > deadline:
                 running.pop(shard)
                 process.terminate()

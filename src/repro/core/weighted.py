@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable, List, Tuple
 
-from repro.connectivity import make_connectivity
+from repro.connectivity.labels import ComponentLabels
 from repro.core.config import ClustererConfig
 from repro.quality.partition import Partition
 from repro.sampling.weighted import WeightedReservoir
@@ -44,9 +44,7 @@ class WeightedStreamingClusterer:
         self._reservoir: WeightedReservoir[Edge] = WeightedReservoir(
             config.reservoir_capacity, seed=child_seed(config.seed, "wreservoir")
         )
-        self._conn = make_connectivity(
-            config.connectivity_backend, seed=child_seed(config.seed, "wconnectivity")
-        )
+        self._components = ComponentLabels()
         self.edges_offered = 0
         self.vetoes = 0
 
@@ -57,23 +55,23 @@ class WeightedStreamingClusterer:
         """Offer one weighted edge occurrence."""
         edge = canonical_edge(u, v)
         self.edges_offered += 1
-        self._conn.add_vertex(edge[0])
-        self._conn.add_vertex(edge[1])
-        if self._conn.has_edge(*edge):
+        self._components.add_vertex(edge[0])
+        self._components.add_vertex(edge[1])
+        if self._components.has_edge(*edge):
             # Already sampled: a re-occurrence cannot improve the sample
             # (the edge is resident); weight still counts to the totals.
             self._reservoir.account_weight(weight)
             return
-        if not self.config.constraint.allows(self._conn, *edge):
+        if not self.config.constraint.allows(self._components, *edge):
             self.vetoes += 1
             return
         admitted, evicted = self._reservoir.offer_detailed(edge, weight)
         if not admitted:
             return
-        if evicted is not None and self._conn.has_edge(*evicted):
-            self._conn.delete_edge(*evicted)
-        if not self._conn.has_edge(*edge):
-            self._conn.insert_edge(*edge)
+        if evicted is not None and self._components.has_edge(*evicted):
+            self._components.delete_edge(*evicted)
+        if not self._components.has_edge(*edge):
+            self._components.insert_edge(*edge)
 
     def add_edges(
         self, weighted_edges: Iterable[Tuple[Vertex, Vertex, float]]
@@ -88,20 +86,20 @@ class WeightedStreamingClusterer:
     # ------------------------------------------------------------------
     def same_cluster(self, u: Vertex, v: Vertex) -> bool:
         """True if ``u`` and ``v`` are currently clustered together."""
-        return self._conn.connected(u, v)
+        return self._components.connected(u, v)
 
     def cluster_members(self, v: Vertex) -> FrozenSet[Vertex]:
         """All vertices clustered with ``v``."""
-        return frozenset(self._conn.component_members(v))
+        return frozenset(self._components.component_members(v))
 
     def snapshot(self) -> Partition:
         """The current clustering."""
-        return Partition.from_clusters(self._conn.components())
+        return Partition.from_clusters(self._components.components())
 
     @property
     def num_clusters(self) -> int:
         """Number of clusters."""
-        return self._conn.num_components
+        return self._components.num_components
 
     @property
     def reservoir_size(self) -> int:

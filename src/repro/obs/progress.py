@@ -7,7 +7,7 @@ report every ``every`` events::
 clusters 412, ckpt lag 1200
 
 Counting happens in the wrapper itself (the clusterer's own statistics
-lag by up to one batch while ingestion is deferred), while reservoir
+are settled at batch boundaries), while reservoir
 fill, cluster count, and checkpoint lag are read from the live objects —
 they are therefore *batch-granular*: inside a batch the reported cluster
 count may trail the event counter by up to one batch of updates, which

@@ -3,8 +3,8 @@
 The paper's algorithm is online over an unbounded stream; a production
 deployment must therefore survive restarts *without replaying history*.
 A checkpoint captures the complete clusterer state — reservoir contents
-and RNG state, stream statistics, tracked graph, connectivity vertex
-set — plus the stream position, so that
+and RNG state, stream statistics, tracked graph, vertex set — plus the
+stream position, so that
 
     crash → :func:`load_checkpoint` → replay the tail of the stream
 

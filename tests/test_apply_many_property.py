@@ -5,22 +5,30 @@ The contract under test: for *any* split of a stream into batches,
 events one at a time — same reservoir contents and RNG state, same
 statistics, same tracked graph, same clustering. The tests drive both
 paths over random add/delete streams (with vertex events as batch
-barriers) across all three connectivity backends.
+barriers), and check both against an oracle that recomputes the
+components of the sample from scratch through the public API.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ClustererConfig, StreamingGraphClusterer
+from repro.connectivity import UnionFind
+from repro.core import (
+    ClustererConfig,
+    MaxClusterSize,
+    MinClusterCount,
+    StreamingGraphClusterer,
+    Unconstrained,
+)
 from repro.core.sharded import ShardedClusterer
 from repro.persist import load_checkpoint, save_checkpoint
+from repro.quality import Partition
 from repro.streams import EdgeEvent, EventKind
-
-BACKENDS = ("hdt", "naive", "lazy")
 
 # Operation stream over a small vertex universe: (u, v) toggles the
 # edge, so the stream is always well-formed under strict semantics.
@@ -86,18 +94,13 @@ def _run_batched(events, rng, **config_kwargs) -> StreamingGraphClusterer:
     ops=_ops,
     seed=st.integers(0, 2**20),
     capacity=st.integers(1, 25),
-    backend=st.sampled_from(BACKENDS),
     split_seed=st.integers(0, 2**10),
 )
 def test_apply_many_matches_per_event_for_any_split(
-    ops, seed, capacity, backend, split_seed
+    ops, seed, capacity, split_seed
 ):
     events = _raw_events(ops)
-    kwargs = dict(
-        reservoir_capacity=capacity,
-        seed=seed,
-        connectivity_backend=backend,
-    )
+    kwargs = dict(reservoir_capacity=capacity, seed=seed)
     reference = _run_per_event(events, **kwargs)
     batched = _run_batched(events, random.Random(split_seed), **kwargs)
     assert _strip_config(batched.get_state()) == _strip_config(reference.get_state())
@@ -143,9 +146,8 @@ def test_one_big_batch_matches_per_event_queries(ops, seed):
     ops=_ops,
     seed=st.integers(0, 2**20),
     cut=st.integers(0, 120),
-    backend=st.sampled_from(BACKENDS),
 )
-def test_checkpoint_roundtrip_mid_stream(tmp_path_factory, ops, seed, cut, backend):
+def test_checkpoint_roundtrip_mid_stream(tmp_path_factory, ops, seed, cut):
     """Checkpoint a batched run mid-stream, restore, finish the tail —
     identical end state to an uninterrupted per-event run. Exercises the
     slot-array reservoir's state round-trip (slot order and RNG state
@@ -153,9 +155,7 @@ def test_checkpoint_roundtrip_mid_stream(tmp_path_factory, ops, seed, cut, backe
     """
     events = _raw_events(ops)
     cut = min(cut, len(events))
-    kwargs = dict(
-        reservoir_capacity=7, seed=seed, connectivity_backend=backend
-    )
+    kwargs = dict(reservoir_capacity=7, seed=seed)
     reference = _run_per_event(events, **kwargs)
 
     head = StreamingGraphClusterer(ClustererConfig(**kwargs))
@@ -168,6 +168,123 @@ def test_checkpoint_roundtrip_mid_stream(tmp_path_factory, ops, seed, cut, backe
     restored.apply_many(events[cut:])
     assert _strip_config(restored.get_state()) == _strip_config(reference.get_state())
     assert restored.snapshot() == reference.snapshot()
+
+
+# Mixed stream over a small universe: edge adds and deletes, vertex adds
+# and deletes. Nothing keeps it well-formed; malformed events are
+# counted (strict=False) and must change nothing.
+_KINDS = (
+    EventKind.ADD_EDGE,
+    EventKind.ADD_EDGE,
+    EventKind.DELETE_EDGE,
+    EventKind.ADD_VERTEX,
+    EventKind.DELETE_VERTEX,
+)
+_mixed_ops = st.lists(
+    st.tuples(st.sampled_from(_KINDS), st.integers(0, 11), st.integers(0, 11)),
+    min_size=1,
+    max_size=80,
+)
+
+_POLICIES = {
+    "unconstrained": Unconstrained,
+    "max_size": lambda: MaxClusterSize(4),
+    "min_count": lambda: MinClusterCount(4),
+}
+
+
+def _mixed_events(ops):
+    events = []
+    for kind, a, b in ops:
+        if kind in (EventKind.ADD_VERTEX, EventKind.DELETE_VERTEX):
+            events.append(EdgeEvent(kind, a, None))
+        elif a != b:
+            events.append(EdgeEvent(kind, a, b))
+    return events
+
+
+def _union_find(vertices, edges) -> UnionFind:
+    union = UnionFind(vertices)
+    for u, v in edges:
+        union.union(u, v)
+    return union
+
+
+def _oracle_partition(clusterer) -> Partition:
+    """The components of ``reservoir_edges()`` over ``vertices()``,
+    recomputed from scratch."""
+    return Partition.from_clusters(
+        _union_find(clusterer.vertices(), clusterer.reservoir_edges()).groups()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=_mixed_ops,
+    seed=st.integers(0, 2**20),
+    capacity=st.integers(1, 12),
+    policy=st.sampled_from(sorted(_POLICIES)),
+)
+def test_per_event_matches_from_scratch_components(ops, seed, capacity, policy):
+    """After every event the clustering is the components of the sample,
+    and the merge/split counters moved by exactly the change in the
+    component count, with evictions counted before the insertion."""
+    clusterer = StreamingGraphClusterer(
+        ClustererConfig(
+            reservoir_capacity=capacity,
+            seed=seed,
+            strict=False,
+            constraint=_POLICIES[policy](),
+        )
+    )
+    for event in _mixed_events(ops):
+        edges_before = set(clusterer.reservoir_edges())
+        vertices_before = set(clusterer.vertices())
+        merges = clusterer.stats.component_merges
+        splits = clusterer.stats.component_splits
+        clusterer.apply(event)
+        edges_after = set(clusterer.reservoir_edges())
+        universe = vertices_before | set(clusterer.vertices())
+
+        def count(edges):
+            return _union_find(universe, edges).num_sets
+
+        kept = count(edges_before & edges_after)
+        assert clusterer.stats.component_splits - splits == kept - count(
+            edges_before
+        )
+        assert clusterer.stats.component_merges - merges == kept - count(
+            edges_after
+        )
+        assert clusterer.snapshot() == _oracle_partition(clusterer)
+        assert clusterer.num_clusters == clusterer.snapshot().num_clusters
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ops=_mixed_ops,
+    seed=st.integers(0, 2**20),
+    capacity=st.integers(1, 12),
+    split_seed=st.integers(0, 2**10),
+)
+def test_numpy_kernel_matches_from_scratch_components(
+    ops, seed, capacity, split_seed
+):
+    pytest.importorskip("numpy")
+    clusterer = StreamingGraphClusterer(
+        ClustererConfig(
+            reservoir_capacity=capacity, seed=seed, strict=False, kernel="numpy"
+        )
+    )
+    events = [(e.kind, e.u, e.v) for e in _mixed_events(ops)]
+    rng = random.Random(split_seed)
+    index = 0
+    while index < len(events):
+        step = rng.randrange(1, len(events) - index + 1)
+        clusterer.apply_many(events[index : index + step])
+        index += step
+        assert clusterer.snapshot() == _oracle_partition(clusterer)
+        assert clusterer.num_clusters == clusterer.snapshot().num_clusters
 
 
 def test_sharded_apply_many_matches_per_event():

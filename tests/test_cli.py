@@ -93,12 +93,12 @@ class TestCluster:
         assert code == 0
         assert len(labels.read_text().splitlines()) == 3
 
-    def test_lean_and_backend_flags(self, workload, tmp_path):
+    def test_lean_flag(self, workload, tmp_path):
         edges, _ = workload
         labels = tmp_path / "lean.labels"
         code = main([
             "cluster", str(edges), "--capacity", "100",
-            "--lean", "--backend", "lazy", "--out", str(labels),
+            "--lean", "--out", str(labels),
         ])
         assert code == 0
 
@@ -471,6 +471,36 @@ class TestCheckpointResume:
                      "--resume"]) == 0
         assert "resumed from" in capsys.readouterr().err
         assert resumed.read_text() == full.read_text()
+
+    @pytest.mark.parametrize("backend", ["hdt", "lazy"])
+    def test_legacy_backend_checkpoint_resumes(self, workload, tmp_path, capsys,
+                                               backend):
+        from repro.persist import read_container, write_container
+
+        edges, _ = workload
+        args = ["cluster", edges, "--capacity", "300", "--seed", "5",
+                "--max-cluster-size", "30"]
+        full = tmp_path / "full.labels"
+        assert main([*map(str, args), "--out", str(full)]) == 0
+        ckpt = tmp_path / "run.ckpt"
+        crashed = run_cli(*args, "--checkpoint", ckpt, "--checkpoint-every",
+                          "100", "--inject-kill-after", "350")
+        assert crashed.returncode == 3
+        # Rewrite the mid-stream checkpoint as an older release wrote it.
+        payload = read_container(ckpt)
+        vars(payload["state"]["config"])["connectivity_backend"] = backend
+        payload["state"]["conn_dirty"] = True
+        write_container(ckpt, payload)
+        capsys.readouterr()
+
+        resumed = tmp_path / "resumed.labels"
+        assert main([*map(str, args), "--checkpoint", str(ckpt), "--resume",
+                     "--out", str(resumed)]) == 0
+        assert "resumed from" in capsys.readouterr().err
+        assert resumed.read_text() == full.read_text()
+        state = read_container(ckpt)["state"]
+        assert "connectivity_backend" not in vars(state["config"])
+        assert "conn_dirty" not in state
 
     def test_corrupted_checkpoint_is_refused(self, workload, tmp_path, capsys):
         from repro.util.faults import corrupt_checkpoint

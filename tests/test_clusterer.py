@@ -51,6 +51,40 @@ class TestBasicClustering:
         assert c.cluster_size("unseen") == 1
         assert c.cluster_id("a") == c.cluster_id("b")
 
+    @pytest.mark.parametrize("kernel", ["scalar", "numpy"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_cluster_id_agrees_with_same_cluster(self, kernel, batched):
+        if kernel == "numpy":
+            pytest.importorskip("numpy")
+        c = make(strict=False, kernel=kernel)
+        events = [
+            add_vertex(10),  # first label: internal id 0
+            add_edge(1, 2),
+            add_edge(2, 3),
+            add_edge(20, 21),
+            add_edge(21, 22),
+            delete_edge(21, 22),  # 22 split off into a singleton
+            add_vertex(5),
+            add_edge(7, 8),
+            delete_vertex(7),  # 7 deleted, 8 left a singleton
+            delete_edge(40, 41),  # absent: interned, never registered
+        ]
+        if batched:
+            c.apply_many(events)
+        else:
+            for event in events:
+                c.apply(event)
+        seen = [10, 1, 2, 3, 20, 21, 22, 5, 7, 8, 40, 41]
+        # Unseen labels, among them ints equal to other vertices' ids.
+        unseen = [0, 4, 99, "x"]
+        labels = seen + unseen
+        assert c.same_cluster(1, 3) and not c.same_cluster(10, 0)
+        for u in labels:
+            for v in labels:
+                assert (c.cluster_id(u) == c.cluster_id(v)) == c.same_cluster(
+                    u, v
+                ), (u, v)
+
     def test_process_chains(self):
         events = [add_edge(1, 2), add_edge(2, 3)]
         c = make().process(events)

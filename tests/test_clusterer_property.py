@@ -97,20 +97,3 @@ def test_max_cluster_size_invariant_holds_throughout(ops, seed, limit):
             clusterer.apply(add_edge(*edge))
             live.add(edge)
         assert clusterer.snapshot().max_cluster_size <= limit
-
-
-@settings(max_examples=50, deadline=None)
-@given(ops=_ops, seed=st.integers(0, 2**20))
-def test_backends_agree_on_reservoir_subgraph(ops, seed):
-    """With identical seeds the sampling decisions match, so the HDT and
-    naive backends must produce identical clusterings."""
-    hdt = StreamingGraphClusterer(
-        ClustererConfig(reservoir_capacity=8, seed=seed, connectivity_backend="hdt")
-    )
-    naive = StreamingGraphClusterer(
-        ClustererConfig(reservoir_capacity=8, seed=seed, connectivity_backend="naive")
-    )
-    _drive(hdt, ops)
-    _drive(naive, ops)
-    assert sorted(hdt.reservoir_edges()) == sorted(naive.reservoir_edges())
-    assert hdt.snapshot() == naive.snapshot()

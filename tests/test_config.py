@@ -8,17 +8,13 @@ from repro.core import ClustererConfig, DeletionPolicy, MaxClusterSize
 class TestValidation:
     def test_defaults_are_valid(self):
         config = ClustererConfig(reservoir_capacity=100)
-        assert config.connectivity_backend == "hdt"
+        assert config.kernel == "scalar"
         assert config.track_graph is True
         assert config.deletion_policy is DeletionPolicy.RANDOM_PAIRING
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             ClustererConfig(reservoir_capacity=0)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="connectivity_backend"):
-            ClustererConfig(reservoir_capacity=10, connectivity_backend="magic")
 
     def test_constraint_type_checked(self):
         with pytest.raises(TypeError, match="ConstraintPolicy"):

@@ -1,7 +1,8 @@
 """Property-based tests: dynamic connectivity vs. a trivial oracle.
 
 Hypothesis drives random insert/delete sequences and checks HDT and the
-naive structure against recomputing components from scratch.
+clusterer's ComponentLabels (the naive BFS-relabelling structure)
+against recomputing components from scratch.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from typing import List, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.connectivity import HDTConnectivity, NaiveDynamicConnectivity
+from repro.connectivity import ComponentLabels, HDTConnectivity
 from repro.graph import AdjacencyGraph
 
 # An operation is (vertex_a, vertex_b); interpretation depends on current
@@ -55,7 +56,7 @@ def test_hdt_matches_recomputed_components(ops, backend_seed):
 @settings(max_examples=60, deadline=None)
 @given(ops=_ops)
 def test_naive_matches_recomputed_components(ops):
-    conn = NaiveDynamicConnectivity()
+    conn = ComponentLabels()
     edges: set = set()
     vertices: set = set()
     for a, b in ops:
@@ -78,7 +79,7 @@ def test_naive_matches_recomputed_components(ops):
 def test_split_and_merge_return_values_agree(ops, seed):
     """HDT and naive must agree on *whether* each op merged/split."""
     hdt = HDTConnectivity(seed=seed)
-    naive = NaiveDynamicConnectivity()
+    naive = ComponentLabels()
     edges: set = set()
     for a, b in ops:
         e = (min(a, b), max(a, b))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.connectivity import NaiveDynamicConnectivity
+from repro.connectivity import ComponentLabels
 from repro.core import (
     CompositeConstraint,
     MaxClusterSize,
@@ -14,7 +14,7 @@ from repro.core import (
 @pytest.fixture
 def two_pairs():
     """Connectivity with components {1,2}, {3,4}, and singleton 5."""
-    conn = NaiveDynamicConnectivity()
+    conn = ComponentLabels()
     conn.insert_edge(1, 2)
     conn.insert_edge(3, 4)
     conn.add_vertex(5)

@@ -159,13 +159,12 @@ class TestLongRunStability:
         assert c.reservoir_size == 0
         assert all(c.cluster_size(v) == 1 for v in c.vertices())
 
-    def test_hdt_backend_survives_vertex_recycling(self):
-        c = StreamingGraphClusterer(
-            ClustererConfig(reservoir_capacity=50, connectivity_backend="hdt")
-        )
+    def test_clusterer_survives_vertex_recycling(self):
+        c = StreamingGraphClusterer(ClustererConfig(reservoir_capacity=50))
         for cycle in range(10):
             for i in range(10):
                 c.apply(add_edge(i, (i + 1) % 10 + 20))
             for i in range(10):
                 c.apply(delete_vertex(i))
         assert c.graph.num_edges == 0
+        assert c.num_vertices == c.num_clusters == 10

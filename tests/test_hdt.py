@@ -4,15 +4,16 @@ import random
 
 import pytest
 
-from repro.connectivity import HDTConnectivity, NaiveDynamicConnectivity
+from repro.connectivity import ComponentLabels, HDTConnectivity
 
 
 @pytest.fixture(params=["hdt", "naive"])
 def conn(request):
-    """Run the shared interface tests against both implementations."""
+    """Run the shared interface tests against both implementations
+    ("naive" is the BFS-relabelling ComponentLabels)."""
     if request.param == "hdt":
         return HDTConnectivity(seed=1)
-    return NaiveDynamicConnectivity()
+    return ComponentLabels()
 
 
 class TestInterface:
@@ -143,7 +144,7 @@ class TestRandomizedCrossValidation:
     def test_hdt_equals_naive(self, seed):
         rng = random.Random(seed)
         hdt = HDTConnectivity(seed=seed)
-        naive = NaiveDynamicConnectivity()
+        naive = ComponentLabels()
         nodes = list(range(35))
         for v in nodes:
             hdt.add_vertex(v)

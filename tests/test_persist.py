@@ -253,6 +253,49 @@ class TestPeriodicCheckpointer:
             PeriodicCheckpointer(make_clusterer(), tmp_path / "ck", every=-1)
 
 
+def make_legacy(path, backend: str) -> None:
+    """Rewrite the checkpoint at ``path`` as an older release wrote it:
+    the pickled config still carries the retired connectivity backend
+    field, and the state the lazy backend's cache flag."""
+    payload = read_container(path)
+    state = payload["state"]
+    vars(state["config"])["connectivity_backend"] = backend
+    state["conn_dirty"] = True
+    write_container(path, payload)
+
+
+class TestLegacyCheckpoints:
+    @pytest.mark.parametrize("kernel", ["scalar", "numpy"])
+    @pytest.mark.parametrize("backend", ["hdt", "lazy"])
+    def test_backend_field_is_dropped_and_resume_is_identical(
+        self, tmp_path, churn_events, backend, kernel
+    ):
+        if kernel == "numpy":
+            pytest.importorskip("numpy")
+        full = make_clusterer(kernel=kernel).process(churn_events, batch_size=64)
+        path = tmp_path / "legacy.ckpt"
+        # On a batch boundary: the numpy kernel's draws depend on them.
+        cut = len(churn_events) // 2 // 64 * 64
+        head = make_clusterer(kernel=kernel).process(
+            churn_events[:cut], batch_size=64
+        )
+        save_checkpoint(head, path, position=cut)
+        make_legacy(path, backend)
+
+        checkpoint = load_checkpoint(path)
+        restored = checkpoint.clusterer
+        assert not hasattr(restored.config, "connectivity_backend")
+        restored.process(checkpoint.remaining(churn_events), batch_size=64)
+        assert restored.snapshot() == full.snapshot()
+        assert restored.stats.as_dict() == full.stats.as_dict()
+        assert restored.reservoir_edges() == full.reservoir_edges()
+
+        save_checkpoint(restored, path, position=len(churn_events))
+        state = read_container(path)["state"]
+        assert "connectivity_backend" not in vars(state["config"])
+        assert "conn_dirty" not in state
+
+
 class TestCanonicalize:
     def test_equal_values_become_shared_objects(self):
         from repro.persist import canonicalize

@@ -3,8 +3,7 @@
 The contract under test: checkpointing after *any* prefix of an event
 stream, restoring from the file, and replaying the tail produces the
 identical partition, statistics, and reservoir as the uninterrupted
-run. This must hold for every connectivity backend, for deletion-heavy
-streams (which exercise Random Pairing's compensation counters and
+run. This must hold for deletion-heavy streams (which exercise Random Pairing's compensation counters and
 component splits), and for the sharded clusterer.
 """
 
@@ -53,16 +52,13 @@ def _identical(restored, reference) -> None:
     cut=st.integers(0, 100),
     seed=st.integers(0, 2**20),
     capacity=st.integers(1, 20),
-    backend=st.sampled_from(["hdt", "naive", "lazy"]),
 )
 def test_checkpoint_at_any_prefix_single(tmp_path_factory, ops, cut, seed,
-                                         capacity, backend):
+                                         capacity):
     path = tmp_path_factory.mktemp("ck") / "single.rpk"
     events = _events(ops)
     cut = min(cut, len(events))
-    config = ClustererConfig(
-        reservoir_capacity=capacity, seed=seed, connectivity_backend=backend
-    )
+    config = ClustererConfig(reservoir_capacity=capacity, seed=seed)
 
     uninterrupted = StreamingGraphClusterer(config).process(events)
 

@@ -1,10 +1,6 @@
-"""Unit tests for UnionFind and RollbackUnionFind."""
+"""Unit tests for UnionFind."""
 
-import random
-
-import pytest
-
-from repro.connectivity import RollbackUnionFind, UnionFind
+from repro.connectivity import UnionFind
 
 
 class TestUnionFind:
@@ -53,57 +49,3 @@ class TestUnionFind:
             x, y = rng.randrange(30), rng.randrange(30)
             assert uf.connected(x, y) == (reference[x] is reference[y])
 
-
-class TestRollbackUnionFind:
-    def test_rollback_restores_state(self):
-        uf = RollbackUnionFind()
-        uf.union(1, 2)
-        mark = uf.checkpoint
-        uf.union(3, 4)
-        uf.union(1, 4)
-        assert uf.connected(2, 3)
-        uf.rollback(mark)
-        assert uf.connected(1, 2)
-        assert not uf.connected(3, 4)
-        assert not uf.connected(1, 3)
-
-    def test_rollback_over_noop_unions(self):
-        uf = RollbackUnionFind()
-        uf.union(1, 2)
-        mark = uf.checkpoint
-        uf.union(1, 2)  # no-op, still recorded
-        uf.rollback(mark)
-        assert uf.connected(1, 2)
-
-    def test_rollback_to_future_raises(self):
-        uf = RollbackUnionFind()
-        with pytest.raises(ValueError):
-            uf.rollback(5)
-
-    def test_num_sets_after_rollback(self):
-        uf = RollbackUnionFind()
-        for i in range(6):
-            uf.add(i)
-        mark = uf.checkpoint
-        uf.union(0, 1)
-        uf.union(2, 3)
-        assert uf.num_sets == 4
-        uf.rollback(mark)
-        assert uf.num_sets == 6
-
-    def test_interleaved_checkpoints(self, rng):
-        uf = RollbackUnionFind()
-        snapshots = []
-        for step in range(100):
-            if rng.random() < 0.3:
-                snapshots.append((uf.checkpoint, {frozenset(_group(uf, i) for i in range(20))}))
-            uf.union(rng.randrange(20), rng.randrange(20))
-        while snapshots:
-            mark, state = snapshots.pop()
-            uf.rollback(mark)
-            assert {frozenset(_group(uf, i) for i in range(20))} == state
-
-
-def _group(uf: RollbackUnionFind, x: int) -> frozenset:
-    root = uf.find(x)
-    return frozenset(i for i in range(20) if uf.find(i) == root)
