@@ -13,17 +13,27 @@ adding fresh ones). After every phase we score:
 Expected shape: streaming quality stays roughly flat across phases; the
 stale offline clustering decays monotonically; periodic recompute
 matches streaming quality but at E4's throughput cost.
+
+The kernel rows (``metadata["kernels"]``) run the same drifting stream
+unconstrained through both batch kernels at batch 1024: events/s
+(best of 3, kernels alternating), the events that fell back to the
+per-event path, and the sampled edges deleted. The numpy kernel applies
+edge deletions in place, so its fallback count must be 0.
 """
+
+import time
 
 from bench_common import finish
 from repro.baselines import louvain
-from repro.bench import ExperimentResult
+from repro.bench import ExperimentResult, render_table
 from repro.core import ClustererConfig, MaxClusterSize, StreamingGraphClusterer
 from repro.graph import AdjacencyGraph
 from repro.quality import pairwise_f1
 from repro.streams import drifting_sbm_stream
 
 PHASES = 6
+KERNEL_BATCH = 1024
+KERNEL_REPS = 3
 
 
 def _phases():
@@ -95,8 +105,52 @@ def test_e6_deletion_tracking(benchmark):
             periodic_louvain_f1=round(pairwise_f1(periodic, phase.truth), 3),
             reservoir_deletions=clusterer.stats.sample_deletions,
         )
+    kernel_rows = _kernel_rows(phases)
+    result.metadata["kernels"] = kernel_rows
     finish(result)
+    print()
+    print(render_table(kernel_rows, title="e6 kernels: unconstrained, batch 1024"))
 
     # Streaming holds; the stale clustering decays.
     assert min(streaming_scores) > 0.6
     assert stale_scores[-1] < 0.5 * stale_scores[0]
+    # Edge deletions stay in the numpy kernel.
+    by_kernel = {row["kernel"]: row for row in kernel_rows}
+    assert by_kernel["numpy"]["kernel_fallback_events"] == 0
+    assert by_kernel["numpy"]["sample_deletions"] > 0
+
+
+def _kernel_run(kernel, phases):
+    """One unconstrained pass over every phase at batch 1024; returns the
+    clusterer and the ingest seconds."""
+    clusterer = StreamingGraphClusterer(
+        ClustererConfig(reservoir_capacity=5000, strict=False, seed=4, kernel=kernel)
+    )
+    events = [(e.kind, e.u, e.v) for phase in phases for e in phase.events]
+    start = time.perf_counter()
+    clusterer.process(events, batch_size=KERNEL_BATCH)
+    return clusterer, time.perf_counter() - start
+
+
+def _kernel_rows(phases):
+    best = {}
+    for rep in range(KERNEL_REPS):
+        order = ("scalar", "numpy") if rep % 2 == 0 else ("numpy", "scalar")
+        for kernel in order:
+            clusterer, seconds = _kernel_run(kernel, phases)
+            if seconds < best.get(kernel, (None, float("inf")))[1]:
+                best[kernel] = (clusterer, seconds)
+    rows = []
+    for kernel in ("scalar", "numpy"):
+        clusterer, seconds = best[kernel]
+        rows.append(
+            {
+                "kernel": kernel,
+                "batch": KERNEL_BATCH,
+                "events": clusterer.stats.events,
+                "events_per_s": round(clusterer.stats.events / seconds),
+                "kernel_fallback_events": clusterer.kernel_fallback_events,
+                "sample_deletions": clusterer.stats.sample_deletions,
+            }
+        )
+    return rows

@@ -558,9 +558,6 @@ def _run_cluster(args: argparse.Namespace) -> int:
             from repro import obs
 
             if clusterer is not None:
-                # Settle any deferred kernel stat estimates before the dump
-                # (pipeline/sharded wrappers settle inside sync_metrics).
-                getattr(clusterer, "stats", None)
                 clusterer.sync_metrics()
             obs.default_registry().write_json(args.metrics_out)
             print(f"metrics written to {args.metrics_out}", file=sys.stderr)

@@ -3,62 +3,75 @@
 The scalar batch loop in :meth:`StreamingGraphClusterer._apply_edge_batch`
 canonicalizes, interns, packs, draws every reservoir decision and
 updates the component labels one event at a time in Python.
-:class:`NumpyBatchKernel` replaces that per-event work for maximal runs
-of ``ADD_EDGE`` events with whole-array phases:
+:class:`NumpyBatchKernel` replaces that per-event work with whole-array
+phases. A batch of edge events is handled like this:
 
-1. **Intern** — labels are canonicalized with ``np.minimum/maximum``
-   and deduplicated with ``np.unique``; the interner's dict is touched
-   once per batch-unique label, in exactly the scalar path's
-   first-touch order (lo-then-hi per event, event order), so both
-   kernels build the identical label table for the same stream.
-2. **Graph + duplicate filter** — the tracked adjacency is updated in a
+1. **Intern** — the batch's edge labels are interned once, in event
+   order: canonicalized with ``np.minimum/maximum`` and deduplicated
+   with ``np.unique``; the interner's dict is touched once per
+   batch-unique label, in exactly the scalar path's first-touch order
+   (lo-then-hi per event, event order), so both kernels build the
+   identical label table for the same stream.
+2. **Split by kind** — each maximal run of ``ADD_EDGE`` events goes
+   through the phases below; each ``DELETE_EDGE`` between two runs is
+   applied in place (step 6).
+3. **Graph + duplicate filter** — the tracked adjacency is updated in a
    tight Python loop (dict-of-dict updates do not vectorize); duplicate
    adds are dropped (or raise under ``strict``) with the scalar path's
    exact error and partial-batch semantics.
-3. **Register** — endpoints not yet in the vertex universe are found by
+4. **Register** — endpoints not yet in the vertex universe are found by
    one boolean gather against a registration bitmap and registered in
    first-touch order.
-4. **Pack + sample** — ``(min_id << 32) | max_id`` keys feed
+5. **Pack + sample** — ``(min_id << 32) | max_id`` keys feed
    :meth:`NumpyPackedEdgeReservoir.insert_many`, which draws the whole
    steady-state accept/evict run from a PCG64 generator in two
-   vectorized calls.
-5. **Mark dirty** — a run that admitted anything leaves the component
+   vectorized calls. A run that admitted anything leaves the component
    labels dirty instead of updating them per admission; the next reader
    (a query, a per-event fallback, a checkpoint) rebuilds them from the
    reservoir slots in one pass.
+6. **Delete in place** — a deletion does what the per-event path does
+   (tracked-graph removal with the same strict/malformed handling,
+   ``reservoir.delete``, which is random-pairing counter arithmetic with
+   no random draw), except that a sampled edge leaving the sample marks
+   the labels dirty instead of cutting them. No resync, no rebuild.
 
-Statistics granularity
-----------------------
-The scalar kernel counts every merge/split exactly, because it updates
-the component labels per admission. That per-admission work is the
-dominant cost of the scalar loop, and the partition never depends on
-it. The numpy kernel therefore reports
-``component_merges``/``component_splits`` as **interval-granular
-estimates**: pending batches are settled lazily (on stats access,
-metrics sync, checkpoint, or any per-event fallback) by three
-vectorized connected-components passes over the sampled edge set
-(before / before+admitted / after). Merges are exact for the interval
-treated as one bulk update; splits are a lower bound (a component that
-splits and re-merges within one interval is not observed). All other
-counters (events, admissions, evictions, malformed, ...) are exact.
+``ADD_VERTEX`` events register in place too. ``DELETE_VERTEX`` is the
+only event that falls back to the per-event path
+(``kernel_fallback_events``), because it needs current adjacency; the
+fallback first rebuilds dirty labels (:meth:`NumpyBatchKernel.sync`).
+
+Statistics
+----------
+The kernel keeps no merge/split estimate: ``component_merges`` and
+``component_splits`` count only events applied on the per-event path
+(vertex deletions here; every event of a constrained configuration).
+Every other counter (events, admissions, evictions, sample deletions,
+malformed, ...) is exact. An estimate folded in at read time would make
+the counters, and the checkpoint bytes, depend on when they were read.
 
 Error-path caveat: on a strict-mode :class:`StreamError` the kernel has
-already interned labels from later events in the same run (interning is
-phase 1, validation phase 2). Ids are internal, and a run aborted by a
-stream error is corrupt input anyway; partitions and equivalence are
-unaffected.
+already interned labels from later events in the same batch (interning
+is step 1). Ids are internal, and a batch aborted by a stream error is
+corrupt input anyway; partitions and equivalence are unaffected. A
+self-loop or an edge deletion without a second endpoint raises after the
+events before it are applied, with nothing after it interned, exactly
+like the per-event path.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import StreamError
-from repro.sampling.vectorized import edge_components
-from repro.streams.events import EdgeEvent, EventKind
+
+# Not called here any more. The served-stream benchmark's traced
+# launcher (benchmarks/servebench/traced_serve.py) patches this module
+# attribute at start-up, so the name stays until those spans move.
+from repro.sampling.vectorized import edge_components  # noqa: F401
+from repro.streams.events import EVENT_KINDS, EdgeEvent, EventKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.clusterer import StreamingGraphClusterer
@@ -71,27 +84,31 @@ _GET_KIND = itemgetter(0)
 _GET_U = itemgetter(1)
 _GET_V = itemgetter(2)
 
+_ADD_EDGE = EventKind.ADD_EDGE
+_DELETE_EDGE = EventKind.DELETE_EDGE
+#: ``EVENT_KINDS`` code of DELETE_EDGE. ADD_EDGE is code 0, so in a kind
+#: array of edge events only the nonzero codes are the deletions.
+_DELETE_CODE = EVENT_KINDS.index(_DELETE_EDGE)
+
+_EMPTY_IDS = np.empty(0, dtype=np.int64)
+
+
+def _positions(kinds: list, kind: EventKind) -> List[int]:
+    """Ascending positions of ``kind`` in ``kinds``."""
+    return [i for i, k in enumerate(kinds) if k is kind]
+
 
 class NumpyBatchKernel:
-    """Vectorized ADD_EDGE executor bound to one clusterer.
+    """Vectorized edge-event executor bound to one clusterer.
 
     Everything it touches is the clusterer's own state — reservoir,
     interner, tracked graph, component labels — so per-event processing
-    (deletions, vertex events, ``apply``) can interleave freely:
-    :meth:`sync` reconciles the two lazily-maintained pieces (component
-    labels, pending merge/split estimates) before any scalar code that
-    needs them runs.
+    (vertex deletions, ``apply``) can interleave freely: :meth:`sync`
+    rebuilds the component labels a kernel run left dirty before any
+    scalar code reads them.
     """
 
-    __slots__ = (
-        "_c",
-        "_registered",
-        "_reg_epoch",
-        "_label_map",
-        "stats_pending",
-        "_pending_before",
-        "_pending_admitted",
-    )
+    __slots__ = ("_c", "_registered", "_reg_epoch", "_label_map")
 
     #: Dense label→id cache ceiling: int labels in [0, 2**22) gather their
     #: ids straight out of a numpy array instead of the interner's dict
@@ -103,60 +120,21 @@ class NumpyBatchKernel:
         self._registered = np.zeros(256, dtype=bool)
         self._reg_epoch = -1  # force a rebuild on first use
         self._label_map = np.full(256, -1, dtype=np.int64)
-        self.stats_pending = False
-        self._pending_before: Optional[np.ndarray] = None
-        self._pending_admitted: List[np.ndarray] = []
 
     # ------------------------------------------------------------------
     # Reconciliation with the per-event path
     # ------------------------------------------------------------------
     def sync(self) -> None:
-        """Bring lazily-maintained state current (cheap when it already is)."""
-        if self.stats_pending:
-            self.settle_stats()
+        """Rebuild dirty component labels (cheap when they are current)."""
         self._c._settled()
 
     def settle_stats(self) -> None:
-        """Fold pending batches into ``component_merges``/``component_splits``.
+        """Does nothing: the kernel keeps no pending statistics.
 
-        One settlement covers every kernel run since the last one; see
-        the module docstring for the estimate's semantics.
+        The served-stream benchmark's traced launcher
+        (benchmarks/servebench/traced_serve.py) wraps this method by
+        name at start-up, so it stays until that span is retargeted.
         """
-        if not self.stats_pending:
-            return
-        self.stats_pending = False
-        before = self._pending_before
-        admitted_runs = self._pending_admitted
-        self._pending_before = None
-        self._pending_admitted = []
-        admitted = (
-            np.concatenate(admitted_runs)
-            if admitted_runs
-            else np.empty(0, dtype=np.uint64)
-        )
-        stats = self._c._stats
-        if admitted.size == 0:
-            # No admissions: nothing merged, and nothing left the sample
-            # (evictions only happen on admission; deletions run on the
-            # per-event path, which settles first).
-            return
-        assert before is not None
-        c_before, verts_before, _ = edge_components(before)
-        mid = np.concatenate([before, admitted])
-        c_mid, verts_mid, labels_mid = edge_components(mid)
-        n_vb = 0 if verts_before is None else verts_before.size
-        merges = c_before + (verts_mid.size - n_vb) - c_mid
-        if merges > 0:
-            stats.component_merges += int(merges)
-        after = np.frombuffer(self._c._reservoir._slots, dtype=np.uint64)
-        c_after, verts_after, _ = edge_components(after)
-        if c_after:
-            # Every edge in `after` is in `mid`, so its endpoints are too.
-            pos = np.searchsorted(verts_mid, verts_after)
-            survivors = int(np.unique(labels_mid[pos]).size)
-            splits = c_after - survivors
-            if splits > 0:
-                stats.component_splits += splits
 
     def _registration_bitmap(self) -> np.ndarray:
         """Bitmap of ids in the vertex universe, epoch-validated."""
@@ -180,154 +158,173 @@ class NumpyBatchKernel:
     # Stream entry points
     # ------------------------------------------------------------------
     def apply_stream(self, events: Iterable) -> None:
-        """Apply a mixed batch: vectorize ADD_EDGE runs, fall back per
-        event for everything else (deletions, vertex events)."""
-        c = self._c
-        add_edge = EventKind.ADD_EDGE
+        """Apply a batch of raw ``(kind, u, v)`` tuples and/or
+        :class:`EdgeEvent` objects."""
         if type(events) is not list:
             events = list(events)
-        # Fast path for the dominant shape: a batch of raw tuples that is
-        # ADD_EDGE throughout. itemgetter gathers columns at C speed
-        # (cheaper than a zip(*...) transpose); list.count compares
-        # identity-first, so checking "all ADD_EDGE" never routes through
-        # Enum.__hash__. EdgeEvent objects are not subscriptable, so a
-        # mixed batch falls through to the segmenting loop below.
-        if events and type(events[0]) is tuple:
+        if not events:
+            return
+        kinds = None
+        if type(events[0]) is tuple:
+            # itemgetter gathers columns at C speed (cheaper than a
+            # zip(*...) transpose). EdgeEvent objects are not
+            # subscriptable, so a batch holding one takes the loop below.
             try:
                 kinds = list(map(_GET_KIND, events))
             except TypeError:
-                kinds = None
-            if kinds is not None and kinds.count(add_edge) == len(kinds):
-                self.run_add(list(map(_GET_U, events)), list(map(_GET_V, events)))
-                return
-        run_u: list = []
-        run_v: list = []
-        for event in events:
-            if type(event) is tuple:
-                kind, u, v = event
-                obj = None
+                pass
             else:
-                kind, u, v = event.kind, event.u, event.v
-                obj = event
-            if kind is add_edge:
-                run_u.append(u)
-                run_v.append(v)
-                continue
-            if run_u:
-                self.run_add(run_u, run_v)
-                run_u = []
-                run_v = []
-            c.kernel_fallback_events += 1
-            c.apply(obj if obj is not None else EdgeEvent(kind, u, v))
-        if run_u:
-            self.run_add(run_u, run_v)
+                us = list(map(_GET_U, events))
+                vs = list(map(_GET_V, events))
+        if kinds is None:
+            kinds, us, vs = [], [], []
+            for event in events:
+                if type(event) is tuple:
+                    kind, u, v = event
+                else:
+                    kind, u, v = event.kind, event.u, event.v
+                kinds.append(kind)
+                us.append(u)
+                vs.append(v)
+        self._apply_kind_list(kinds, us, vs)
 
     def apply_columns(self, kinds, us, vs) -> None:
-        """Column-form entry (``EventColumns``); ``kinds`` may be None
-        when every event is an ADD_EDGE. Columns arrive as lists from
-        the stream readers or as int64 arrays off the columnar wire
-        decode — array columns skip the per-label type gate entirely."""
+        """Column-form entry (``EventColumns``).
+
+        ``kinds`` is None when every event is an ``ADD_EDGE``, a list of
+        :class:`EventKind`, or an integer array of ``EVENT_KINDS`` codes
+        (the wire decode's form, split by kind with numpy). Label
+        columns are lists from the stream readers or int64 arrays off
+        the wire decode; array columns skip the per-label type gate.
+        """
         if kinds is None:
-            if isinstance(us, np.ndarray):
-                self.run_add_arrays(us, vs)
-            elif us:
-                self.run_add(us, vs)
+            self._apply_edges((), us, vs)
+        elif type(kinds) is list:
+            self._apply_kind_list(kinds, us, vs)
+        elif not kinds.size:
+            return
+        elif int(kinds.min()) >= 0 and int(kinds.max()) <= _DELETE_CODE:
+            self._apply_edges(np.flatnonzero(kinds).tolist(), us, vs)
+        else:
+            self._apply_kind_list(
+                list(map(EVENT_KINDS.__getitem__, kinds.tolist())), us, vs
+            )
+
+    def apply_interned(self, events: Iterable[Tuple[EventKind, int, int]]) -> None:
+        """Pre-interned ``(kind, uid, vid)`` edge tuples (pipeline workers),
+        ids in label-canonical orientation."""
+        if type(events) is not list:
+            events = list(events)
+        if not events:
+            return
+        kinds = list(map(_GET_KIND, events))
+        dels = _positions(kinds, _DELETE_EDGE)
+        if len(dels) + kinds.count(_ADD_EDGE) != len(kinds):
+            raise ValueError("interned batches may contain only edge events")
+        self._apply_segments(
+            np.asarray(list(map(_GET_U, events)), dtype=np.int64),
+            np.asarray(list(map(_GET_V, events)), dtype=np.int64),
+            dels,
+        )
+
+    # ------------------------------------------------------------------
+    # Splitting a batch
+    # ------------------------------------------------------------------
+    def _apply_kind_list(self, kinds: list, us, vs) -> None:
+        """Apply columns whose kinds are a list of :class:`EventKind`:
+        edge events in bulk, vertex events one at a time between them."""
+        n = len(kinds)
+        n_adds = kinds.count(_ADD_EDGE)
+        if n_adds == n:
+            self._apply_edges((), us, vs)
+            return
+        dels = _positions(kinds, _DELETE_EDGE)
+        if n_adds + len(dels) == n:
+            self._apply_edges(dels, us, vs)
             return
         if type(us) is not list:
             us = us.tolist()
         if type(vs) is not list:
             vs = vs.tolist()
-        self.apply_stream(list(zip(kinds, us, vs)))
-
-    def apply_interned(self, events: Iterable[Tuple[EventKind, int, int]]) -> None:
-        """Pre-interned ``(kind, uid, vid)`` edge tuples (pipeline workers)."""
-        c = self._c
-        add_edge = EventKind.ADD_EDGE
-        label_of = c._intern.label_of
-        run_u: list = []
-        run_v: list = []
-        for kind, uid, vid in events:
-            if kind is add_edge:
-                run_u.append(uid)
-                run_v.append(vid)
+        start = 0
+        for i, kind in enumerate(kinds):
+            if kind is _ADD_EDGE or kind is _DELETE_EDGE:
                 continue
-            if run_u:
-                self._run(
-                    np.asarray(run_u, dtype=np.int64),
-                    np.asarray(run_v, dtype=np.int64),
+            if start < i:
+                self._apply_edges(
+                    _positions(kinds[start:i], _DELETE_EDGE), us[start:i], vs[start:i]
                 )
-                run_u = []
-                run_v = []
-            c.apply(EdgeEvent(kind, label_of(uid), label_of(vid)))
-        if run_u:
-            self._run(
-                np.asarray(run_u, dtype=np.int64),
-                np.asarray(run_v, dtype=np.int64),
-            )
+            self._apply_vertex_event(kind, us[i], vs[i])
+            start = i + 1
+        if start < n:
+            self._apply_edges(_positions(kinds[start:], _DELETE_EDGE), us[start:], vs[start:])
+
+    def _apply_edges(self, dels: Sequence[int], us, vs) -> None:
+        """Apply edge events in order; ``dels`` holds the ascending
+        positions of the ``DELETE_EDGE`` events, the rest are adds."""
+        lo, hi, error = self._intern_edges(us, vs, dels)
+        self._apply_segments(lo, hi, dels)
+        if error is not None:
+            raise error
+
+    def _apply_segments(self, lo: np.ndarray, hi: np.ndarray, dels: Sequence[int]) -> None:
+        """Run each maximal add segment of interned id columns through
+        :meth:`_run` and apply each deletion between them in place.
+        Positions past the end of the columns (a truncated batch) are
+        ignored."""
+        n = int(lo.size)
+        start = 0
+        for d in dels:
+            if d >= n:
+                break
+            if start < d:
+                self._run(lo[start:d], hi[start:d])
+            self._delete(int(lo[d]), int(hi[d]))
+            start = d + 1
+        if start < n:
+            self._run(lo[start:], hi[start:])
 
     # ------------------------------------------------------------------
-    # ADD_EDGE runs
+    # Interning
     # ------------------------------------------------------------------
-    def run_add(self, us: list, vs: list) -> None:
-        """Intern a run of label pairs and execute it.
+    def _intern_edges(
+        self, us, vs, dels: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[BaseException]]:
+        """Intern a batch's edge labels once, in event order.
 
-        The int fast path requires every label to be exactly ``int``
-        (bools are excluded, like the routing layers, because ``True``
-        and ``1`` are distinct labels to a dict but not to an array);
-        anything else falls back to per-event interning with identical
-        semantics.
+        Returns label-canonical id columns for the events before the
+        first malformed one, and the error that event raises (None for
+        a clean batch). The int fast path requires every label to be
+        exactly ``int`` (bools are excluded, like the routing layers,
+        because ``True`` and ``1`` are distinct labels to a dict but not
+        to an array); int64 array columns skip the check. Anything else
+        interns per event with identical semantics.
         """
-        if set(map(type, us)) == {int} == set(map(type, vs)):
+        if isinstance(us, np.ndarray):
+            au = np.asarray(us, dtype=np.int64)
+            av = np.asarray(vs, dtype=np.int64)
+        elif set(map(type, us)) == {int} == set(map(type, vs)):
             try:
                 au = np.asarray(us, dtype=np.int64)
                 av = np.asarray(vs, dtype=np.int64)
             except OverflowError:
-                self._run_add_generic(us, vs)
-                return
-            pending_error: Optional[BaseException] = None
-            loops = au == av
-            if loops.any():
-                p = int(np.argmax(loops))
-                pending_error = ValueError(
-                    f"self-loop edges are not allowed: ({us[p]!r}, {vs[p]!r})"
-                )
-                au = au[:p]
-                av = av[:p]
-            if au.size:
-                lo, hi = self._intern_int_pairs(au, av)
-                self._run(lo, hi)
-            if pending_error is not None:
-                raise pending_error
+                return self._intern_edges_generic(us, vs, dels)
         else:
-            self._run_add_generic(us, vs)
-
-    def run_add_arrays(self, au, av) -> None:
-        """Array-native ADD_EDGE run: endpoint columns already int64.
-
-        The wire decode hands label columns straight from the frame's
-        gather — no per-label type gate, no list round-trip. Semantics
-        match :meth:`run_add` exactly, including the truncate-at-first-
-        self-loop error contract.
-        """
-        au = np.asarray(au, dtype=np.int64)
-        av = np.asarray(av, dtype=np.int64)
-        if not au.size:
-            return
-        pending_error: Optional[BaseException] = None
+            return self._intern_edges_generic(us, vs, dels)
+        error: Optional[BaseException] = None
         loops = au == av
         if loops.any():
             p = int(np.argmax(loops))
-            pending_error = ValueError(
+            error = ValueError(
                 f"self-loop edges are not allowed: "
                 f"({int(au[p])!r}, {int(av[p])!r})"
             )
             au = au[:p]
             av = av[:p]
-        if au.size:
-            lo, hi = self._intern_int_pairs(au, av)
-            self._run(lo, hi)
-        if pending_error is not None:
-            raise pending_error
+        if not au.size:
+            return _EMPTY_IDS, _EMPTY_IDS, error
+        lo, hi = self._intern_int_pairs(au, av)
+        return lo, hi, error
 
     def _intern_int_pairs(
         self, au: np.ndarray, av: np.ndarray
@@ -392,19 +389,25 @@ class NumpyBatchKernel:
         ids_flat = uniq_ids[inverse]
         return ids_flat[0::2], ids_flat[1::2]
 
-    def _run_add_generic(self, us: list, vs: list) -> None:
-        """Per-event interning fallback for non-int / mixed / big labels."""
+    def _intern_edges_generic(
+        self, us: list, vs: list, dels: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[BaseException]]:
+        """Per-event interning for non-int / mixed / big labels."""
         intern = self._c._intern
         iget = intern._ids.get
         iadd = intern.intern
+        deleted = set(dels)
         lo: List[int] = []
         hi: List[int] = []
-        pending_error: Optional[BaseException] = None
-        for u, v in zip(us, vs):
-            if u == v:
-                pending_error = ValueError(
-                    f"self-loop edges are not allowed: ({u!r}, {v!r})"
+        error: Optional[BaseException] = None
+        for i, (u, v) in enumerate(zip(us, vs)):
+            if v is None and i in deleted:
+                error = ValueError(
+                    f"{_DELETE_EDGE.value} event requires two endpoints"
                 )
+                break
+            if u == v:
+                error = ValueError(f"self-loop edges are not allowed: ({u!r}, {v!r})")
                 break
             try:
                 if v < u:
@@ -420,20 +423,60 @@ class NumpyBatchKernel:
                 vid = iadd(v)
             lo.append(uid)
             hi.append(vid)
-        if lo:
-            self._run(
-                np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
-            )
-        if pending_error is not None:
-            raise pending_error
+        return np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64), error
 
+    # ------------------------------------------------------------------
+    # In-place deletions and vertex events
+    # ------------------------------------------------------------------
+    def _delete(self, uid: int, vid: int) -> None:
+        """One ``DELETE_EDGE`` of interned ids, applied in place.
+
+        The per-event path's steps and errors, except that a sampled
+        edge leaving the sample marks the labels dirty instead of
+        cutting them.
+        """
+        c = self._c
+        stats = c.stats
+        stats.events += 1
+        stats.edge_deletes += 1
+        c.kernel_events += 1
+        graph = c._graph
+        if graph is not None and not graph.remove_edge_ids(uid, vid):
+            label_of = c._intern.label_of
+            c._malformed(
+                f"DELETE_EDGE of absent edge ({label_of(uid)!r}, {label_of(vid)!r})"
+            )
+            return
+        if c._reservoir.delete((uid << 32) | vid if uid < vid else (vid << 32) | uid):
+            stats.sample_deletions += 1
+            c._components.dirty = True
+            c._invalidate()
+
+    def _apply_vertex_event(self, kind, u, v) -> None:
+        """An ``ADD_VERTEX`` registers in place (it reads no labels);
+        anything else (a ``DELETE_VERTEX``, which needs current
+        adjacency) takes the per-event path."""
+        c = self._c
+        if kind is not EventKind.ADD_VERTEX:
+            c.kernel_fallback_events += 1
+            c.apply(EdgeEvent(kind, u, v))
+            return
+        if v is not None:
+            raise ValueError(f"{kind.value} event takes a single vertex")
+        c.stats.events += 1
+        c.kernel_events += 1
+        c._on_add_vertex(u)
+
+    # ------------------------------------------------------------------
+    # ADD_EDGE runs
+    # ------------------------------------------------------------------
     def _run(self, lo: np.ndarray, hi: np.ndarray) -> None:
         """Execute one run of interned, label-canonical id pairs."""
         c = self._c
         n = int(lo.size)
         if n == 0:
             return
-        stats = c._stats
+        stats = c.stats
         pending_error: Optional[BaseException] = None
         n_malformed = 0
         # --- tracked graph + duplicate filter -------------------------
@@ -469,21 +512,12 @@ class NumpyBatchKernel:
                 keys = (
                     np.minimum(lo, hi).astype(np.uint64) << _U32
                 ) | np.maximum(lo, hi).astype(np.uint64)
-                reservoir = c._reservoir
-                if not self.stats_pending:
-                    self._pending_before = np.frombuffer(
-                        reservoir._slots, dtype=np.uint64
-                    ).copy()
-                reservoir.insert_many(keys, admitted=admitted, evicted=evicted)
+                c._reservoir.insert_many(keys, admitted=admitted, evicted=evicted)
         finally:
             if admitted:
                 stats.admissions += len(admitted)
                 structural = True
                 c._components.dirty = True
-                self.stats_pending = True
-                self._pending_admitted.append(
-                    np.asarray(admitted, dtype=np.uint64)
-                )
             if evicted:
                 stats.evictions += len(evicted)
             if structural:

@@ -133,11 +133,12 @@ class StreamingGraphClusterer:
     def __init__(self, config: ClustererConfig) -> None:
         self.config = config = normalize_config(config)
         # The vectorized batch kernel (bound below for kernel="numpy")
-        # settles its lazily-maintained pieces through the ``stats``
-        # property and the ``apply`` sync hook; scalar configurations
-        # never pay more than this None check.
+        # rebuilds the labels it left dirty through the ``apply`` sync
+        # hook; scalar configurations never pay more than this None check.
         self._kernel = None
-        self._stats = ClustererStats()
+        #: Work counters (see the statistics contract in
+        #: docs/performance.md).
+        self.stats = ClustererStats()
         # Label ↔ dense-id table shared by every structure below. Edge
         # keys pack the two endpoint ids into one int, canonical by *id*
         # order internally; label-canonical orientation is recomputed
@@ -161,9 +162,10 @@ class StreamingGraphClusterer:
         #: tests and benchmarks; not part of the persisted state.
         self.partition_builds = 0
         #: Probe counters for the numpy batch kernel (not persisted):
-        #: vectorized runs executed, events they consumed, and events
-        #: that fell back to the per-event path while the kernel was
-        #: configured (deletions, vertex events, non-int labels).
+        #: vectorized runs executed, events the kernel applied (its runs
+        #: plus the deletions and vertex additions it applies in place),
+        #: and events that fell back to the per-event path while the
+        #: kernel was configured (vertex deletions).
         self.kernel_batches = 0
         self.kernel_events = 0
         self.kernel_fallback_events = 0
@@ -194,18 +196,6 @@ class StreamingGraphClusterer:
                 self.config.reservoir_capacity, seed=seed
             )
         return PackedEdgeReservoir(self.config.reservoir_capacity, seed=seed)
-
-    @property
-    def stats(self) -> ClustererStats:
-        """Work counters; reading settles any pending kernel estimates."""
-        kernel = self._kernel
-        if kernel is not None and kernel.stats_pending:
-            kernel.settle_stats()
-        return self._stats
-
-    @stats.setter
-    def stats(self, value: ClustererStats) -> None:
-        self._stats = value
 
     # ------------------------------------------------------------------
     # Stream consumption
@@ -782,8 +772,6 @@ class StreamingGraphClusterer:
         edge tuples in slot order, the vertex universe as labels in
         registration order.
         """
-        if self._kernel is not None:
-            self._kernel.settle_stats()
         extern_key = self._extern_key
         reservoir_state = self._reservoir.get_state()
         reservoir_state["items"] = [
@@ -1020,12 +1008,7 @@ class StreamingGraphClusterer:
         registry = _obs.default_registry()
         counter = registry.counter
         last = self._metrics_last
-        # Read the raw stats, NOT the settling ``stats`` property: forcing
-        # the numpy kernel to settle its merge/split estimates on every
-        # batch-boundary sync would defeat the deferred-settlement design.
-        # The kernel's interval-granular deltas flow into the counters at
-        # the next sync after a true settlement point instead.
-        stats = self._stats
+        stats = self.stats
         for name in self._METRIC_STAT_FIELDS:
             value = getattr(stats, name)
             prev = last.get(name, 0)

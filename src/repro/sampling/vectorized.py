@@ -14,8 +14,10 @@ from:
   bit-for-bit equal to ``repro.core.sharded._shard_of`` for int
   vertices (property-tested).
 * :func:`edge_components` — connected components of a packed-key edge
-  array via min-label propagation, used for batch-granular merge/split
-  statistics.
+  array via min-label propagation. The kernel no longer calls it (it
+  kept batch-granular merge/split estimates until those were dropped);
+  it stays as a tested primitive whose name the served-stream
+  benchmark's tracer patches.
 
 Determinism contract
 --------------------

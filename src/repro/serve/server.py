@@ -353,7 +353,9 @@ class ClusterService:
                         events = decoder.decode(payload)
                     except ValueError as error:
                         raise ProtocolError(str(error)) from None
-                    if type(events) is EventColumns:
+                    if type(events) is EventColumns and events.kinds is None:
+                        # A codec-v3 frame (large v2 frames decode to
+                        # columns too, but carry a kind column).
                         self._columnar_counter.inc()
                     await session.enqueue_events(events)
                 elif op in _QUERY_OPS:

@@ -20,6 +20,7 @@ __all__ = [
     "Vertex",
     "Edge",
     "EventKind",
+    "EVENT_KINDS",
     "EdgeEvent",
     "EventColumns",
     "RawEvent",
@@ -51,6 +52,18 @@ class EventKind(enum.Enum):
     DELETE_EDGE = "delete_edge"
     ADD_VERTEX = "add_vertex"
     DELETE_VERTEX = "delete_vertex"
+
+
+#: Kind codes: ``EVENT_KINDS[code]`` is the kind an integer code stands
+#: for, both on the wire (:mod:`repro.streams.codec`) and in an
+#: array-form :attr:`EventColumns.kinds` column. The order is fixed; a
+#: new kind must be appended, never inserted.
+EVENT_KINDS: Tuple[EventKind, ...] = (
+    EventKind.ADD_EDGE,
+    EventKind.DELETE_EDGE,
+    EventKind.ADD_VERTEX,
+    EventKind.DELETE_VERTEX,
+)
 
 
 def canonical_edge(u: Vertex, v: Vertex) -> Edge:
@@ -120,8 +133,10 @@ class EventColumns:
 
     Columns are lists from the stream readers but may be numpy int64
     arrays when they come off the columnar wire decode
-    (:mod:`repro.streams.codec`, version-3 frames); every consumer of
-    ``us``/``vs`` must handle both.
+    (:mod:`repro.streams.codec`: version-3 frames, and large version-2
+    frames of edge events); every consumer of ``us``/``vs`` must handle
+    both. Likewise ``kinds`` is either a list of :class:`EventKind` or,
+    from the wire decode, an integer array of :data:`EVENT_KINDS` codes.
     """
 
     us: list
@@ -140,10 +155,13 @@ class EventColumns:
         """
         us = self.us if type(self.us) is list else self.us.tolist()
         vs = self.vs if type(self.vs) is list else self.vs.tolist()
-        if self.kinds is None:
+        kinds = self.kinds
+        if kinds is None:
             add = EventKind.ADD_EDGE
             return [(add, u, v) for u, v in zip(us, vs)]
-        return list(zip(self.kinds, us, vs))
+        if type(kinds) is not list:
+            kinds = list(map(EVENT_KINDS.__getitem__, kinds.tolist()))
+        return list(zip(kinds, us, vs))
 
     def slice(self, start: int, stop: int) -> "EventColumns":
         """The sub-batch ``[start:stop)`` (zero-copy for array columns)."""

@@ -28,7 +28,8 @@ from repro.core import (
 from repro.core.sharded import ShardedClusterer
 from repro.persist import load_checkpoint, save_checkpoint
 from repro.quality import Partition
-from repro.streams import EdgeEvent, EventKind
+from repro.streams import EdgeEvent, EventColumns, EventKind
+from repro.streams.events import EVENT_KINDS
 
 # Operation stream over a small vertex universe: (u, v) toggles the
 # edge, so the stream is always well-formed under strict semantics.
@@ -260,15 +261,34 @@ def test_per_event_matches_from_scratch_components(ops, seed, capacity, policy):
         assert clusterer.num_clusters == clusterer.snapshot().num_clusters
 
 
+def _as_columns(batch):
+    """A raw-tuple batch as ``EventColumns``: int64 arrays with a
+    kind-code array (the wire decode's form) when every event is an
+    edge event, list columns otherwise."""
+    import numpy as np
+
+    kinds = [kind for kind, _, _ in batch]
+    us = [u for _, u, _ in batch]
+    vs = [v for _, _, v in batch]
+    if all(kind in (EventKind.ADD_EDGE, EventKind.DELETE_EDGE) for kind in kinds):
+        return EventColumns(
+            us=np.array(us, dtype=np.int64),
+            vs=np.array(vs, dtype=np.int64),
+            kinds=np.array([EVENT_KINDS.index(kind) for kind in kinds], dtype=np.int8),
+        )
+    return EventColumns(us=us, vs=vs, kinds=kinds)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     ops=_mixed_ops,
     seed=st.integers(0, 2**20),
     capacity=st.integers(1, 12),
     split_seed=st.integers(0, 2**10),
+    columns=st.booleans(),
 )
 def test_numpy_kernel_matches_from_scratch_components(
-    ops, seed, capacity, split_seed
+    ops, seed, capacity, split_seed, columns
 ):
     pytest.importorskip("numpy")
     clusterer = StreamingGraphClusterer(
@@ -281,7 +301,8 @@ def test_numpy_kernel_matches_from_scratch_components(
     index = 0
     while index < len(events):
         step = rng.randrange(1, len(events) - index + 1)
-        clusterer.apply_many(events[index : index + step])
+        batch = events[index : index + step]
+        clusterer.apply_many(_as_columns(batch) if columns else batch)
         index += step
         assert clusterer.snapshot() == _oracle_partition(clusterer)
         assert clusterer.num_clusters == clusterer.snapshot().num_clusters

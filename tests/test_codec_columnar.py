@@ -1,14 +1,17 @@
-"""Property and robustness tests for version-3 columnar frames.
+"""Property and robustness tests for columnar frame decoding.
 
 The contract under test: for any endpoint columns, ``encode_columns``
 (version 3) decodes to exactly the events the tuple path (version 2)
 carries — same labels, same order — while sharing one cumulative vertex
 table with interleaved v2 frames, and any byte surgery on a frame is
-rejected with ``ValueError`` (``ProtocolError`` at the server).
+rejected with ``ValueError`` (``ProtocolError`` at the server). Large
+version-2 frames of edge events decode to columns too, with the same
+events and the same errors as the tuple decode.
 """
 
 from __future__ import annotations
 
+import random
 import struct
 
 import numpy as np
@@ -16,12 +19,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.streams import codec
 from repro.streams.codec import (
     COLUMNAR_CODEC_VERSION,
     DeltaBatchDecoder,
     FrameEncoder,
 )
-from repro.streams.events import EventColumns, EventKind
+from repro.streams.events import EventColumns, EventKind, concat_event_batches
+
+ADD = EventKind.ADD_EDGE
+DEL = EventKind.DELETE_EDGE
+ADDV = EventKind.ADD_VERTEX
+#: Frame sizes below, at and above the v2 column threshold.
+V2_MIN = codec._V2_COLUMNS_MIN_EVENTS
+V2_SIZES = (V2_MIN // 8, V2_MIN, 4 * V2_MIN)
 
 # Labels the stream readers can actually produce: ints (including values
 # outside the signed 64-bit range, which must take the generic entry
@@ -171,3 +182,100 @@ class TestColumnarCorruption:
         struct.pack_into("<I", frame, 2, 1 << 16)  # table-entry count
         with pytest.raises(ValueError, match="corrupt event frame"):
             DeltaBatchDecoder().decode(bytes(frame))
+
+
+def _edge_events(n, seed=3, delete_every=5):
+    """``n`` int edge events over 100 vertices, every ``delete_every``-th
+    a deletion (the codec does not check that deletions are live)."""
+    rng = random.Random(seed)
+    events = []
+    while len(events) < n:
+        u, v = rng.randrange(100), rng.randrange(100)
+        if u != v:
+            kind = DEL if len(events) % delete_every == delete_every - 1 else ADD
+            events.append((kind, u, v))
+    return events
+
+
+class TestDeltaFrameColumns:
+    @pytest.mark.parametrize("n", V2_SIZES)
+    def test_edge_frames_decode_by_size(self, n):
+        events = _edge_events(n)
+        batch = DeltaBatchDecoder().decode(FrameEncoder().encode_batch(events))
+        if n < V2_MIN:
+            assert batch == events
+            return
+        assert type(batch) is EventColumns
+        assert batch.us.dtype == batch.vs.dtype == np.int64
+        assert isinstance(batch.kinds, np.ndarray)
+        assert batch.to_events() == events
+
+    def test_vertex_event_keeps_tuples(self):
+        events = _edge_events(4 * V2_MIN)
+        events.insert(10, (ADDV, 7, None))
+        batch = DeltaBatchDecoder().decode(FrameEncoder().encode_batch(events))
+        assert type(batch) is list
+        assert batch == events
+
+    def test_non_int_label_keeps_tuples(self):
+        encoder = FrameEncoder()
+        decoder = DeltaBatchDecoder()
+        first = [(ADD, "a", 1)]
+        assert decoder.decode(encoder.encode_batch(first)) == first
+        # The connection's table is no longer all-int: later frames too.
+        events = _edge_events(4 * V2_MIN)
+        batch = decoder.decode(encoder.encode_batch(events))
+        assert type(batch) is list
+        assert batch == events
+
+    def test_coalesced_mixed_frames_keep_event_order(self):
+        encoder = FrameEncoder()
+        decoder = DeltaBatchDecoder()
+        big = _edge_events(4 * V2_MIN, seed=5)
+        small = _edge_events(5, seed=6)
+        adds = _edge_events(2 * V2_MIN, seed=7, delete_every=10**9)
+        big_again = _edge_events(2 * V2_MIN, seed=8, delete_every=2)
+        frames = [
+            encoder.encode_batch(big),
+            encoder.encode_batch(small),
+            *encoder.encode_columns([u for _, u, _ in adds], [v for _, _, v in adds]),
+            encoder.encode_batch(big_again),
+        ]
+        batches = [decoder.decode(frame) for frame in frames]
+        assert [type(b) is EventColumns for b in batches] == [True, False, True, True]
+        assert batches[2].kinds is None
+        assert concat_event_batches(batches) == big + small + adds + big_again
+
+    # name: (triplet field offset from the frame's end, new u32, message
+    # fragment); the last event of the frame is the corrupt one.
+    _CORRUPTIONS = {
+        "unknown_kind_code": (-12, 9, "unknown kind code 9"),
+        "u_index_out_of_range": (-8, 0xFFFF0000, "vertex index 4294901760 out of range"),
+        "v_index_out_of_range": (-4, 0xFFFF0000, "endpoint index 4294901760"),
+        "edge_without_endpoint": (-4, 0xFFFFFFFF, "endpoint index 4294967295"),
+        "vertex_with_second_endpoint": (
+            -12, 2, "vertex event carries a second endpoint"
+        ),
+        "trailing_bytes": (None, None, "3 trailing bytes"),
+    }
+
+    @pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
+    def test_corrupt_frames_raise_one_message(self, corruption, monkeypatch):
+        offset, value, fragment = self._CORRUPTIONS[corruption]
+        messages = set()
+        for n in V2_SIZES:
+            frame = bytearray(FrameEncoder().encode_batch(_edge_events(n)))
+            if offset is None:
+                frame += b"\x00\x00\x00"
+            else:
+                struct.pack_into("<I", frame, len(frame) + offset, value)
+            # Force the column attempt, keep the default, force tuples.
+            for limit in (0, V2_MIN, 1 << 30):
+                monkeypatch.setattr(codec, "_V2_COLUMNS_MIN_EVENTS", limit)
+                with pytest.raises(ValueError) as error:
+                    DeltaBatchDecoder().decode(bytes(frame))
+                messages.add(str(error.value))
+        assert len(messages) == 1
+        (message,) = messages
+        assert message.startswith("corrupt event frame: ")
+        assert fragment in message

@@ -18,12 +18,12 @@ The served determinism/equivalence contract under test:
 
 import pytest
 
-from repro.core import ClustererConfig, StreamingGraphClusterer
+from repro.core import StreamingGraphClusterer
 from repro.errors import ServiceError
 from repro.obs import metrics as _obs
 from repro.serve import ClusterService, ServiceClient
 from repro.serve.protocol import OP_OK, recv_message, render_snapshot, send_message
-from repro.streams import planted_partition, insert_only_stream_raw
+from repro.streams import insert_delete_stream, planted_partition, insert_only_stream_raw
 from repro.streams.codec import FrameEncoder, encode_hello
 from repro.streams.events import EventColumns
 
@@ -70,6 +70,32 @@ class TestServedColumnar:
         assert snapshots[0] == snapshots[1]
         inline = _inline_snapshot(_config(kernel="numpy"), batches)
         assert snapshots[0] == inline
+
+    def test_served_numpy_deletions_match_inline(self):
+        # Batches with deletions travel as v2 frames, which the server
+        # decodes to kind columns; the kernel applies the deletions in
+        # place, and the state equals an inline run at the same boundaries.
+        graph = planted_partition(160, 4, 0.3, 0.002, seed=5)
+        events = insert_delete_stream(graph.edges, churn=0.3, seed=3)
+        batches = []
+        for s in range(0, len(events), BATCH):
+            chunk = events[s : s + BATCH]
+            batches.append(EventColumns(
+                us=[e.u for e in chunk],
+                vs=[e.v for e in chunk],
+                kinds=[e.kind for e in chunk],
+            ))
+        service = ClusterService(_config(), batch_size=BATCH)
+        with _RunningService(service) as running:
+            with ServiceClient(
+                running.endpoint, tenant="churn", kernel="numpy", batch_size=BATCH
+            ) as client:
+                client.send_columns(batches)
+                served = client.snapshot()
+                clusterer = service._sessions["churn"].clusterer
+                assert clusterer.stats.sample_deletions > 0
+                assert clusterer.kernel_fallback_events == 0
+        assert served == _inline_snapshot(_config(kernel="numpy"), batches)
 
     def test_served_scalar_byte_identical_to_inline(self):
         batches = _columns()

@@ -27,10 +27,12 @@ from repro.sampling.vectorized import (
     edge_components,
     shard_ids,
 )
-from repro.streams.events import EventKind
+from repro.errors import StreamError
+from repro.streams.events import EVENT_KINDS, EdgeEvent, EventColumns, EventKind
 
 ADD = EventKind.ADD_EDGE
 DEL = EventKind.DELETE_EDGE
+ADDV = EventKind.ADD_VERTEX
 
 
 def _mixed_events(n, num_vertices, seed, delete_rate=0.2):
@@ -388,6 +390,44 @@ class TestNumpyPersistence:
             straight.get_state()
         )
 
+    # The state bytes must not depend on when stats are read or a
+    # checkpoint is taken. An insert-only stream whose sample keeps
+    # evicting merges and splits components all along.
+    def _insert_only_run(self, events, batches):
+        clusterer = StreamingGraphClusterer(self._config(reservoir_capacity=150))
+        for start in range(0, len(events), 512):
+            clusterer.apply_many(events[start : start + 512])
+            batches(clusterer)
+        return clusterer
+
+    def test_resume_at_batch_boundary_keeps_state_bytes(self, tmp_path):
+        from repro.persist.checkpoint import load_checkpoint, save_checkpoint
+
+        events = _mixed_events(6000, 400, seed=43, delete_rate=0.0)
+        straight = self._insert_only_run(events, lambda c: None)
+        head = StreamingGraphClusterer(self._config(reservoir_capacity=150))
+        for start in range(0, 3072, 512):
+            head.apply_many(events[start : start + 512])
+        path = tmp_path / "boundary.ckpt"
+        save_checkpoint(head, path, position=3072)
+        restored = load_checkpoint(path).clusterer
+        for start in range(3072, len(events), 512):
+            restored.apply_many(events[start : start + 512])
+        assert restored.stats.evictions > 0
+        assert pickle.dumps(restored.get_state()) == pickle.dumps(
+            straight.get_state()
+        )
+
+    def test_reading_stats_keeps_state_bytes(self):
+        events = _mixed_events(6000, 400, seed=43, delete_rate=0.0)
+        quiet = self._insert_only_run(events, lambda c: None)
+        reads = []
+        eager = self._insert_only_run(
+            events, lambda c: reads.append(c.stats.component_splits)
+        )
+        assert len(reads) == 12
+        assert pickle.dumps(eager.get_state()) == pickle.dumps(quiet.get_state())
+
     def test_checkpoint_file_roundtrip_byte_identical(self, tmp_path):
         from repro.persist.checkpoint import load_checkpoint, save_checkpoint
 
@@ -407,6 +447,164 @@ class TestNumpyPersistence:
             scalar.insert_fast(key)
         with pytest.raises(ValueError, match="np_rng_state"):
             NumpyPackedEdgeReservoir.from_state(scalar.get_state())
+
+
+# ----------------------------------------------------------------------
+# Deletions and vertex additions stay in the kernel
+# ----------------------------------------------------------------------
+def _with_vertex_adds(events, num_vertices, seed):
+    """``events`` with an ADD_VERTEX before about 2% of them: mostly of
+    vertices the stream also joins, some of vertices it never mentions."""
+    rng = random.Random(seed)
+    out = []
+    for event in events:
+        if rng.random() < 0.02:
+            out.append((ADDV, rng.randrange(num_vertices + 50), None))
+        out.append(event)
+    return out
+
+
+def _columns(batch, arrays):
+    kinds = [kind for kind, _, _ in batch]
+    us = [u for _, u, _ in batch]
+    vs = [v for _, _, v in batch]
+    if not arrays:
+        return EventColumns(us=us, vs=vs, kinds=kinds)
+    return EventColumns(
+        us=np.array(us, dtype=np.int64),
+        vs=np.array(vs, dtype=np.int64),
+        kinds=np.array([EVENT_KINDS.index(kind) for kind in kinds], dtype=np.int8),
+    )
+
+
+def _interned(clusterer, batch):
+    """``batch`` as ``(kind, uid, vid)`` tuples over the clusterer's
+    interner, interned lo-then-hi in event order like the label path."""
+    intern = clusterer.interner.intern
+    out = []
+    for kind, u, v in batch:
+        lo, hi = (u, v) if u < v else (v, u)
+        out.append((kind, intern(lo), intern(hi)))
+    return out
+
+
+def _feed(clusterer, events, form, batch=256):
+    for start in range(0, len(events), batch):
+        chunk = events[start : start + batch]
+        if form == "tuples":
+            clusterer.apply_many(chunk)
+        elif form == "list_columns":
+            clusterer.apply_many(_columns(chunk, arrays=False))
+        elif form == "array_columns":
+            clusterer.apply_many(_columns(chunk, arrays=True))
+        else:
+            clusterer.apply_interned_many(_interned(clusterer, chunk))
+    return clusterer
+
+
+class TestKernelDeletions:
+    def _config(self, **overrides):
+        settings = dict(
+            reservoir_capacity=80, seed=19, kernel="numpy", strict=False
+        )
+        settings.update(overrides)
+        return ClustererConfig(**settings)
+
+    @pytest.mark.parametrize(
+        "form", ["tuples", "list_columns", "array_columns", "interned"]
+    )
+    def test_no_fallback(self, form):
+        events = _mixed_events(3000, 250, seed=47, delete_rate=0.3)
+        if form in ("tuples", "list_columns"):
+            events = _with_vertex_adds(events, 250, seed=47)
+        clusterer = _feed(StreamingGraphClusterer(self._config()), events, form)
+        stats = clusterer.stats
+        assert clusterer.kernel_fallback_events == 0
+        assert clusterer.kernel_events == stats.events == len(events)
+        assert stats.sample_deletions > 0
+        if form in ("tuples", "list_columns"):
+            assert stats.vertex_adds > 0
+
+    @pytest.mark.parametrize("track_graph", [False, True])
+    def test_tuples_and_columns_byte_identical(self, track_graph):
+        edges = _mixed_events(3000, 250, seed=53, delete_rate=0.3)
+        with_vertices = _with_vertex_adds(edges, 250, seed=53)
+        for events, forms in (
+            (edges, ["tuples", "list_columns", "array_columns", "interned"]),
+            (with_vertices, ["tuples", "list_columns"]),
+        ):
+            states = {
+                form: pickle.dumps(
+                    _feed(
+                        StreamingGraphClusterer(
+                            self._config(track_graph=track_graph)
+                        ),
+                        events,
+                        form,
+                    ).get_state()
+                )
+                for form in forms
+            }
+            assert len(set(states.values())) == 1, sorted(states)
+
+    _ERROR_CASES = {
+        # name: (config overrides, events, error type, message)
+        "strict_absent_delete": (
+            dict(strict=True),
+            [(ADD, 1, 2), (ADD, 3, 4), (DEL, 6, 5), (ADD, 7, 8)],
+            StreamError,
+            "DELETE_EDGE of absent edge (5, 6)",
+        ),
+        "self_loop_delete": (
+            dict(),
+            [(ADD, 1, 2), (DEL, 2, 1), (ADD, 3, 4), (DEL, 5, 5), (ADD, 6, 7)],
+            ValueError,
+            "self-loop edges are not allowed: (5, 5)",
+        ),
+        "empty_population": (
+            dict(track_graph=False),
+            [(ADD, 1, 2), (DEL, 1, 2), (DEL, 3, 4), (ADD, 5, 6)],
+            ValueError,
+            "delete from an empty population",
+        ),
+    }
+
+    @pytest.mark.parametrize("form", ["tuples", "list_columns", "array_columns"])
+    @pytest.mark.parametrize("case", sorted(_ERROR_CASES))
+    def test_errors_match_per_event_path(self, case, form):
+        overrides, events, error_type, message = self._ERROR_CASES[case]
+        config = self._config(**overrides)
+        per_event = StreamingGraphClusterer(config)
+        with pytest.raises(error_type) as expected:
+            for event in events:
+                per_event.apply(EdgeEvent(*event))
+        batched = StreamingGraphClusterer(config)
+        with pytest.raises(error_type) as got:
+            _feed(batched, events, form)
+        assert str(got.value) == str(expected.value) == message
+        assert batched.kernel_fallback_events == 0
+
+        def observable(clusterer):
+            stats = clusterer.stats.as_dict()
+            # Counted on the per-event path only (statistics contract).
+            del stats["component_merges"], stats["component_splits"]
+            graph = clusterer.graph
+            return (
+                stats,
+                sorted(clusterer.reservoir_edges()),
+                sorted(clusterer.vertices()),
+                None if graph is None else sorted(graph.edge_list()),
+                clusterer.snapshot(),
+            )
+
+        assert observable(batched) == observable(per_event)
+        labels = batched.interner.labels()
+        if case == "self_loop_delete":
+            # Nothing after the self-loop is interned, like the per-event path.
+            assert labels == per_event.interner.labels()
+        else:
+            # Batch interning ran ahead of the failing event.
+            assert labels[: len(per_event.interner)] == per_event.interner.labels()
 
 
 # ----------------------------------------------------------------------
