@@ -44,6 +44,7 @@ from repro.core import (
     MaxClusterSize,
     MinClusterCount,
     MultiResolutionClusterer,
+    PipelineClusterer,
     ShardedClusterer,
     SlidingWindowClusterer,
     StreamingGraphClusterer,
@@ -51,7 +52,6 @@ from repro.core import (
     SupervisorConfig,
     Unconstrained,
     WeightedStreamingClusterer,
-    cluster_stream_parallel,
 )
 from repro.errors import (
     CheckpointError,
@@ -89,6 +89,7 @@ __all__ = [
     "MultiResolutionClusterer",
     "Partition",
     "PeriodicCheckpointer",
+    "PipelineClusterer",
     "ReproError",
     "ShardedClusterer",
     "SlidingWindowClusterer",
@@ -102,7 +103,6 @@ __all__ = [
     "__version__",
     "add_edge",
     "add_vertex",
-    "cluster_stream_parallel",
     "delete_edge",
     "delete_vertex",
     "load_checkpoint",

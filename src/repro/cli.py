@@ -16,12 +16,14 @@ without writing Python:
   tenant and write the served snapshot.
 
 ``repro cluster`` scales across cores with ``--parallel``: ``inline``
-shards the stream in-process (a scalability baseline), ``pool`` forks a
-transient batch worker pool per run, and ``pipeline`` streams event
-frames through persistent worker processes so parsing, routing, and
-per-shard clustering overlap (see ``docs/performance.md``). All modes
-produce the same partition as the sequential sharded clusterer for the
-same seed and ``--workers`` count.
+shards the stream in-process (a scalability baseline), and ``pipeline``
+streams event frames through persistent worker processes so parsing,
+routing, and per-shard clustering overlap (see ``docs/performance.md``).
+With the default scalar kernel both modes produce the same partition as
+the sequential sharded clusterer for the same seed and ``--workers``
+count. Under ``--kernel numpy`` the two modes can draw different,
+equally valid samples: the numpy kernel's sample depends on per-shard
+batch boundaries, and the two modes cut batches differently.
 
 ``repro cluster`` can run as a crash-safe long-lived job: with
 ``--checkpoint`` the full clusterer state is persisted atomically every
@@ -161,14 +163,12 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="ingest events in batches of N through the fast "
                               "path (default: 1024)")
-    cluster.add_argument("--parallel", choices=("inline", "pool", "pipeline"),
+    cluster.add_argument("--parallel", choices=("inline", "pipeline"),
                          help="shard the stream across --workers shards: "
                               "'inline' runs every shard sequentially in one "
-                              "process, 'pool' forks a transient batch worker "
-                              "pool (finite streams; no checkpointing), "
-                              "'pipeline' streams through persistent worker "
-                              "processes (overlaps parsing, routing, and "
-                              "clustering; checkpointable mid-stream)")
+                              "process, 'pipeline' streams through persistent "
+                              "worker processes (overlaps parsing, routing, "
+                              "and clustering; checkpointable mid-stream)")
     cluster.add_argument("--workers", type=_positive_int, default=4, metavar="N",
                          help="shard/worker count for --parallel (default: 4)")
     cluster.add_argument("--out", help="labels output path (default: stdout)")
@@ -416,20 +416,13 @@ def _run_cluster(args: argparse.Namespace) -> int:
         edges = read_edge_list(args.input, strict=strict_io, errors=io_errors)
         stream = insert_only_stream_raw(edges, seed=args.seed)
 
-    if args.parallel == "pool" and args.checkpoint:
-        raise CheckpointError(
-            "--parallel pool cannot checkpoint: pool workers are transient "
-            "and hold no resumable state (use --parallel pipeline, or drop "
-            "--checkpoint)"
-        )
-
     checkpointer: Optional[PeriodicCheckpointer] = None
     if args.checkpoint and args.resume and os.path.exists(args.checkpoint):
         checkpointer = PeriodicCheckpointer.resume(
             args.checkpoint, every=args.checkpoint_every
         )
         clusterer = checkpointer.clusterer
-        if args.parallel in ("inline", "pipeline"):
+        if args.parallel:
             if not isinstance(clusterer, ShardedClusterer):
                 raise CheckpointError(
                     f"{args.checkpoint} holds a {type(clusterer).__name__} "
@@ -476,11 +469,9 @@ def _run_cluster(args: argparse.Namespace) -> int:
             clusterer = PipelineClusterer(
                 config, args.workers, batch_events=batch_size
             )
-        elif args.parallel == "pool":
-            clusterer = None  # the batch driver builds its own shards
         else:
             clusterer = StreamingGraphClusterer(config)
-        if args.checkpoint and clusterer is not None:
+        if args.checkpoint:
             checkpointer = PeriodicCheckpointer(
                 clusterer, args.checkpoint, every=args.checkpoint_every
             )
@@ -496,53 +487,34 @@ def _run_cluster(args: argparse.Namespace) -> int:
         from repro.obs import ProgressReporter
 
         reporter = ProgressReporter(
-            args.progress_every,
-            clusterer if clusterer is not None else object(),
-            checkpointer=checkpointer,
+            args.progress_every, clusterer, checkpointer=checkpointer
         )
         stream = reporter.wrap(stream)
 
     try:
-        if args.parallel == "pool":
-            from repro.core import cluster_stream_parallel
-
-            events = list(stream)
-            try:
-                snapshot, results = cluster_stream_parallel(
-                    events, config, num_shards=args.workers
-                )
-            except ValueError as error:
-                raise StreamError(str(error)) from None
+        if checkpointer is not None:
+            checkpointer.process(stream, batch_size=batch_size)
+            checkpointer.save()
+        else:
+            clusterer.process(stream, batch_size=batch_size)
+        snapshot = clusterer.snapshot()
+        if isinstance(clusterer, StreamingGraphClusterer):
+            stats = clusterer.stats
             summary = (
-                f"processed {len(events)} events across {args.workers} pool "
-                f"shards: {{clusters}} clusters, largest {{largest}}, "
-                f"reservoir {sum(len(r.sampled_edges) for r in results)}"
-                f"/{config.reservoir_capacity}"
+                f"processed {stats.events} events: {{clusters}} clusters, "
+                f"largest {{largest}}, reservoir "
+                f"{clusterer.reservoir_size}"
+                f"/{clusterer.config.reservoir_capacity}, "
+                f"{stats.vetoes} constraint vetoes"
             )
         else:
-            if checkpointer is not None:
-                checkpointer.process(stream, batch_size=batch_size)
-                checkpointer.save()
-            else:
-                clusterer.process(stream, batch_size=batch_size)
-            snapshot = clusterer.snapshot()
-            if isinstance(clusterer, StreamingGraphClusterer):
-                stats = clusterer.stats
-                summary = (
-                    f"processed {stats.events} events: {{clusters}} clusters, "
-                    f"largest {{largest}}, reservoir "
-                    f"{clusterer.reservoir_size}"
-                    f"/{clusterer.config.reservoir_capacity}, "
-                    f"{stats.vetoes} constraint vetoes"
-                )
-            else:
-                summary = (
-                    f"processed {sum(clusterer.shard_events)} events across "
-                    f"{clusterer.num_shards} shards: {{clusters}} clusters, "
-                    f"largest {{largest}}, reservoir "
-                    f"{clusterer.total_reservoir_size}"
-                    f"/{clusterer.config.reservoir_capacity}"
-                )
+            summary = (
+                f"processed {sum(clusterer.shard_events)} events across "
+                f"{clusterer.num_shards} shards: {{clusters}} clusters, "
+                f"largest {{largest}}, reservoir "
+                f"{clusterer.total_reservoir_size}"
+                f"/{clusterer.config.reservoir_capacity}"
+            )
         if io_errors:
             print(f"skipped {len(io_errors)} malformed input lines", file=sys.stderr)
         if args.min_size > 1:
@@ -557,8 +529,7 @@ def _run_cluster(args: argparse.Namespace) -> int:
         if args.metrics_out:
             from repro import obs
 
-            if clusterer is not None:
-                clusterer.sync_metrics()
+            clusterer.sync_metrics()
             obs.default_registry().write_json(args.metrics_out)
             print(f"metrics written to {args.metrics_out}", file=sys.stderr)
     finally:

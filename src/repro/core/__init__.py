@@ -6,9 +6,9 @@ Public entry points:
   vertex/edge additions and deletions.
 * :class:`ClustererConfig` / :class:`DeletionPolicy` — configuration.
 * :mod:`repro.core.constraints` — cluster-shape admission policies.
-* :class:`ShardedClusterer` / :class:`PipelineClusterer` /
-  :func:`cluster_stream_parallel` — the parallelization story (in
-  process, persistent worker pool, batch driver).
+* :class:`ShardedClusterer` / :class:`PipelineClusterer` — the
+  parallelization story: shards in process, or in supervised worker
+  processes (:class:`SupervisorConfig`).
 * :class:`SlidingWindowClusterer` — recency-windowed deployment mode.
 """
 
@@ -21,14 +21,8 @@ from repro.core.constraints import (
     MinClusterCount,
     Unconstrained,
 )
-from repro.core.pipeline import PipelineClusterer
-from repro.core.sharded import (
-    ShardedClusterer,
-    ShardResult,
-    SupervisorConfig,
-    cluster_stream_parallel,
-    merge_shard_samples,
-)
+from repro.core.pipeline import PipelineClusterer, SupervisorConfig
+from repro.core.sharded import ShardedClusterer, merge_shard_samples
 from repro.core.tracking import (
     ClusterEvent,
     ClusterEventKind,
@@ -53,7 +47,6 @@ __all__ = [
     "MinClusterCount",
     "MultiResolutionClusterer",
     "PipelineClusterer",
-    "ShardResult",
     "TrackingReport",
     "ShardedClusterer",
     "SlidingWindowClusterer",
@@ -62,6 +55,5 @@ __all__ = [
     "StreamingGraphClusterer",
     "Unconstrained",
     "WeightedStreamingClusterer",
-    "cluster_stream_parallel",
     "merge_shard_samples",
 ]

@@ -1,10 +1,9 @@
 """Persistent multiprocess streaming pipeline.
 
-:func:`~repro.core.sharded.cluster_stream_parallel` is batch-parallel:
-it materializes the whole stream into per-shard buckets, forks once per
-shard, and pays pickled-object IPC — fine for finite experiments,
-useless for an unbounded online stream. This module is the online
-counterpart the paper's "easily parallelized" claim actually needs::
+:class:`~repro.core.sharded.ShardedClusterer` runs every shard in one
+process. This module runs the same shards in long-lived worker
+processes, the multiprocess form of the paper's "easily parallelized"
+claim, and it serves unbounded online streams::
 
     parent (producer stage)            worker processes (one per shard)
     ┌──────────────────────────┐       ┌───────────────────────────────┐
@@ -32,13 +31,12 @@ counterpart the paper's "easily parallelized" claim actually needs::
   applied. That keeps :meth:`PipelineClusterer.snapshot`, periodic
   checkpointing (:class:`~repro.persist.checkpoint.PeriodicCheckpointer`)
   and :meth:`PipelineClusterer.sync_metrics` available *mid-stream*.
-* The PR-1 supervision machinery is rehomed onto the persistent pool:
-  a worker that dies or times out is respawned (bounded attempts,
-  exponential backoff per :class:`~repro.core.sharded.SupervisorConfig`)
-  from its last checkpoint-fetched state, and the frames sent since are
-  replayed from a parent-side log. A shard that exhausts its budget is
-  tombstoned: its events are dropped with a warning and the merged
-  partition degrades instead of the stream hanging.
+* Workers run supervised (:class:`SupervisorConfig`): a worker that
+  dies or times out is respawned (bounded attempts, exponential
+  backoff) from its last checkpoint-fetched state, and the frames sent
+  since are replayed from a parent-side log. A shard that exhausts its
+  budget is tombstoned: its events are dropped with a warning and the
+  merged partition degrades instead of the stream hanging.
 
 Throughput/scaling numbers: ``benchmarks/bench_e5b_pipeline.py`` and
 ``docs/performance.md``.
@@ -49,12 +47,12 @@ from __future__ import annotations
 import pickle
 import time
 import warnings
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from repro.core.clusterer import AnyEvent, StreamingGraphClusterer
 from repro.core.config import ClustererConfig
 from repro.core.sharded import (
-    SupervisorConfig,
     _mp_context,
     _shard_config,
     _stable_vertex_key,
@@ -71,7 +69,7 @@ from repro.streams.codec import (
 from repro.streams.events import EdgeEvent, EventColumns, EventKind, Vertex
 from repro.util.validation import check_positive
 
-__all__ = ["PipelineClusterer"]
+__all__ = ["PipelineClusterer", "SupervisorConfig"]
 
 # Wire opcodes. Parent → worker messages are one opcode byte, plus a
 # codec frame for batches; worker replies echo the opcode, or E+message
@@ -86,6 +84,40 @@ _REPLY_ERROR = b"E"
 
 #: Parent-side vertex→routing-key cache bound (restarted when full).
 _KEY_CACHE_LIMIT = 1 << 20
+
+
+@dataclass
+class SupervisorConfig:
+    """Fault-tolerance policy for :class:`PipelineClusterer`.
+
+    A worker must answer its startup handshake and every control
+    request within ``timeout`` seconds (``None`` waits forever). A
+    worker that crashes, hangs past the timeout, or breaks its pipe is
+    respawned, after a backoff of ``backoff * backoff_factor **
+    (attempt - 2)`` seconds before attempt ``attempt``, up to
+    ``max_attempts`` total attempts per shard. A shard that fails
+    permanently is tombstoned: its events are dropped with a warning
+    and the merge degrades instead of the stream hanging.
+    """
+
+    timeout: Optional[float] = 60.0
+    max_attempts: int = 3
+    backoff: float = 0.05
+    backoff_factor: float = 2.0
+
+    def __post_init__(self) -> None:
+        check_positive("max_attempts", self.max_attempts)
+        if self.timeout is not None and self.timeout <= 0:
+            raise ValueError(f"timeout must be positive or None, got {self.timeout}")
+        if self.backoff < 0 or self.backoff_factor < 1.0:
+            raise ValueError("backoff must be >= 0 and backoff_factor >= 1.0")
+
+    def delay_before(self, attempt: int) -> float:
+        """Backoff before ``attempt`` (attempts count from 1; no delay
+        before the first)."""
+        if attempt <= 1:
+            return 0.0
+        return self.backoff * self.backoff_factor ** (attempt - 2)
 
 
 def _pipeline_worker(
@@ -228,8 +260,7 @@ class PipelineClusterer:
     max_frame_bytes:
         Frame size ceiling for the codec (larger batches split).
     supervisor:
-        Fault-tolerance policy (:class:`SupervisorConfig`); defaults to
-        the same policy as the batch driver.
+        Fault-tolerance policy; defaults to ``SupervisorConfig()``.
     fault:
         Deterministic :class:`~repro.util.faults.ShardFault` injected at
         worker startup, for testing — called as ``fault(shard, attempt)``
@@ -261,7 +292,7 @@ class PipelineClusterer:
         self._fault = fault
         n = self.num_shards
         self.shard_events: List[int] = [0] * n
-        #: Attempts per shard (1 = first spawn; mirrors ShardResult.attempts).
+        #: Attempts per shard (1 = first spawn).
         self.shard_attempts: List[int] = [0] * n
         #: Events dropped because their shard was degraded.
         self.dropped_events = 0
@@ -317,7 +348,7 @@ class PipelineClusterer:
         for shard in pending:
             error = self._await_ready(shard)
             if error is not None:
-                self._revive(shard, error, respawned=False)
+                self._revive(shard, error, was_ready=False)
         return self
 
     def _spawn(self, shard: int) -> None:
@@ -407,19 +438,18 @@ class PipelineClusterer:
             stacklevel=4,
         )
 
-    def _revive(self, shard: int, error: str, *, respawned: bool = True) -> bool:
+    def _revive(self, shard: int, error: str, *, was_ready: bool = True) -> bool:
         """Respawn a dead/hung worker and replay its frame log.
 
         Returns False when the attempt budget is exhausted (the shard is
-        then degraded). ``respawned`` is False when the current attempt
-        already counted (startup failure), True when a previously-ready
-        worker died and this call both disposes and retries it.
+        then degraded). ``was_ready`` says whether the lost worker had
+        answered READY: only such a loss counts as a worker death, and
+        a failed startup, first or respawned, never does.
         """
         while True:
             self._dispose_worker(shard)
-            if respawned and _obs._ENABLED:
+            if was_ready and _obs._ENABLED:
                 _obs.default_registry().counter("supervisor.worker_deaths").inc()
-            respawned = True
             if self.shard_attempts[shard] >= self.supervisor.max_attempts:
                 self._degrade(shard, error)
                 return False
@@ -429,7 +459,8 @@ class PipelineClusterer:
             self.worker_restarts += 1
             self._spawn(shard)
             startup_error = self._await_ready(shard)
-            if startup_error is not None:
+            was_ready = startup_error is None
+            if not was_ready:
                 error = startup_error
                 continue
             try:

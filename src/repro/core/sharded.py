@@ -8,25 +8,18 @@ Workers never coordinate during stream processing — only the (cheap)
 component merge at query time touches cross-shard state, so throughput
 scales with the number of workers.
 
-Two drivers are provided:
-
-* :class:`ShardedClusterer` — in-process sharding. Routes each event to
-  its shard and keeps per-shard event counts, from which the *shard
-  balance* (the quantity that bounds real-machine speedup) is computed.
-* :func:`cluster_stream_parallel` — a multiprocessing driver that
-  partitions a finite stream, processes shards in separate processes,
-  and merges the returned samples. Suitable for batch experiments; the
-  in-process class is the online API.
+:class:`ShardedClusterer` shards in process: it routes each event to its
+shard and keeps per-shard event counts, from which the *shard balance*
+(the quantity that bounds real-machine speedup) is computed. The
+routing, per-shard configuration and merge defined here are shared with
+:class:`~repro.core.pipeline.PipelineClusterer`, which runs the same
+shards in supervised worker processes.
 """
 
 from __future__ import annotations
 
-import time
-import warnings
-from dataclasses import dataclass
 from itertools import islice
-from queue import Empty
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.connectivity.union_find import UnionFind
 from repro.core.clusterer import AnyEvent, StreamingGraphClusterer
@@ -45,9 +38,6 @@ from repro.util.validation import check_positive
 
 __all__ = [
     "ShardedClusterer",
-    "ShardResult",
-    "SupervisorConfig",
-    "cluster_stream_parallel",
     "merge_shard_samples",
 ]
 
@@ -161,7 +151,7 @@ def merge_shard_samples(
     global bound. All vertices are registered before any union so the
     constraint evaluates every candidate merge against the full vertex
     universe, exactly as :class:`ShardedClusterer` always did; the
-    multiprocess drivers share this function so the three execution
+    pipeline shares this function so the in-process and multiprocess
     modes cannot drift apart.
     """
     union = UnionFind()
@@ -481,362 +471,3 @@ class ShardedClusterer:
             f"ShardedClusterer(num_shards={self.num_shards}, "
             f"reservoir={self.total_reservoir_size})"
         )
-
-
-# ----------------------------------------------------------------------
-# Multiprocessing driver (supervised)
-# ----------------------------------------------------------------------
-@dataclass
-class ShardResult:
-    """What a shard worker returns: its sample and the vertices it saw.
-
-    When a shard exhausts its retry budget under supervision, a
-    *tombstone* result is recorded instead (``failed=True``, empty
-    sample) so the merge can degrade gracefully rather than hang.
-    """
-
-    shard: int
-    sampled_edges: List[Edge]
-    vertices: List[Vertex]
-    events: int
-    attempts: int = 1
-    failed: bool = False
-    error: Optional[str] = None
-
-
-@dataclass
-class SupervisorConfig:
-    """Fault-tolerance policy for :func:`cluster_stream_parallel`.
-
-    Each shard attempt runs in its own worker process with a wall-clock
-    ``timeout``; a worker that crashes, hangs past the timeout, or exits
-    without reporting is retried with exponential backoff
-    (``backoff * backoff_factor ** (attempt - 1)`` seconds) up to
-    ``max_attempts`` total attempts. A shard that fails permanently is
-    dropped from the merge with a warning and a tombstone
-    :class:`ShardResult` — the run degrades instead of hanging.
-    """
-
-    timeout: Optional[float] = 60.0
-    max_attempts: int = 3
-    backoff: float = 0.05
-    backoff_factor: float = 2.0
-    poll_interval: float = 0.01
-
-    def __post_init__(self) -> None:
-        check_positive("max_attempts", self.max_attempts)
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be positive or None, got {self.timeout}")
-        if self.backoff < 0 or self.backoff_factor < 1.0:
-            raise ValueError("backoff must be >= 0 and backoff_factor >= 1.0")
-
-    def delay_before(self, attempt: int) -> float:
-        """Backoff before ``attempt`` (attempts count from 1; no delay
-        before the first)."""
-        if attempt <= 1:
-            return 0.0
-        return self.backoff * self.backoff_factor ** (attempt - 2)
-
-
-def _run_shard(
-    shard: int,
-    config: ClustererConfig,
-    num_shards: int,
-    events: Sequence[AnyEvent],
-    batch_size: int | None,
-    fault,
-    attempt: int,
-) -> ShardResult:
-    if fault is not None:
-        fault(shard, attempt)
-    clusterer = StreamingGraphClusterer(_shard_config(config, shard, num_shards))
-    clusterer.process(events, batch_size=batch_size)
-    return ShardResult(
-        shard=shard,
-        sampled_edges=clusterer.reservoir_edges(),
-        vertices=list(clusterer.vertices()),
-        events=len(events),
-        attempts=attempt,
-    )
-
-
-def _process_shard(
-    args: Tuple[int, ClustererConfig, int, Sequence[AnyEvent], Optional[int]],
-) -> ShardResult:
-    shard, config, num_shards, events, batch_size = args
-    return _run_shard(shard, config, num_shards, events, batch_size, None, 1)
-
-
-def _worker_entry(task, fault, attempt: int, queue) -> None:
-    """Worker process body: run the shard, report the outcome.
-
-    A hard crash (``os._exit``, OOM kill, segfault) reports nothing; the
-    supervisor detects the dead process and treats it as a failed
-    attempt. Soft exceptions are reported so their message survives into
-    the tombstone result.
-    """
-    shard = task[0]
-    try:
-        result = _run_shard(*task, fault, attempt)
-        queue.put((shard, "ok", result))
-    except BaseException as error:  # noqa: BLE001 - must never escape silently
-        try:
-            queue.put((shard, "error", f"{type(error).__name__}: {error}"))
-        finally:
-            return
-
-
-def _fail_shard(shard: int, bucket_len: int, attempts: int, error: str) -> ShardResult:
-    if _obs._ENABLED:
-        _obs.default_registry().counter("supervisor.degradations").inc()
-    warnings.warn(
-        f"shard {shard} failed permanently after {attempts} attempt(s) "
-        f"({error}); dropping its sample from the merge",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return ShardResult(
-        shard=shard,
-        sampled_edges=[],
-        vertices=[],
-        events=bucket_len,
-        attempts=attempts,
-        failed=True,
-        error=error,
-    )
-
-
-def _run_supervised_inline(
-    tasks, supervisor: SupervisorConfig, fault
-) -> List[ShardResult]:
-    """Sequential supervised execution (``pool_processes <= 1``).
-
-    Crashing workers are retried with backoff exactly as in the process
-    mode; hangs cannot be interrupted without a process boundary, so
-    ``timeout`` is not enforced here (documented in docs/robustness.md).
-    """
-    results: List[ShardResult] = []
-    for task in tasks:
-        shard, bucket = task[0], task[3]
-        last_error = "unknown"
-        for attempt in range(1, supervisor.max_attempts + 1):
-            if _obs._ENABLED:
-                registry = _obs.default_registry()
-                registry.counter("supervisor.attempts").inc()
-                if attempt > 1:
-                    registry.counter("supervisor.retries").inc()
-            delay = supervisor.delay_before(attempt)
-            if delay:
-                time.sleep(delay)
-            try:
-                results.append(_run_shard(*task, fault, attempt))
-                break
-            except Exception as error:  # simulated or real worker crash
-                last_error = f"{type(error).__name__}: {error}"
-        else:
-            results.append(
-                _fail_shard(shard, len(bucket), supervisor.max_attempts, last_error)
-            )
-    return results
-
-
-def _run_supervised_pool(
-    tasks, supervisor: SupervisorConfig, fault, processes: int
-) -> List[ShardResult]:
-    """Run shard attempts in supervised worker processes.
-
-    At most ``processes`` workers run concurrently. Each has a deadline;
-    deadline overruns are terminated. Failed attempts (crash, timeout,
-    exit-without-result) are rescheduled with backoff until the attempt
-    budget is spent, at which point the shard gets a tombstone result.
-    """
-    ctx = _mp_context()
-    queue = ctx.Queue()
-    monotonic = time.monotonic
-
-    by_shard = {task[0]: task for task in tasks}
-    attempts: Dict[int, int] = {shard: 0 for shard in by_shard}
-    last_error: Dict[int, str] = {}
-    results: Dict[int, ShardResult] = {}
-    # (ready_time, shard) — shards waiting for a free worker slot.
-    waiting: List[Tuple[float, int]] = [(0.0, task[0]) for task in tasks]
-    running: Dict[int, Tuple[object, float]] = {}  # shard -> (process, deadline)
-
-    def reap(shard: int, process, error: str) -> None:
-        process.join(timeout=5.0)
-        last_error[shard] = error
-        if attempts[shard] >= supervisor.max_attempts:
-            bucket = by_shard[shard][3]
-            results[shard] = _fail_shard(shard, len(bucket), attempts[shard], error)
-        else:
-            retry_at = monotonic() + supervisor.delay_before(attempts[shard] + 1)
-            waiting.append((retry_at, shard))
-
-    while waiting or running:
-        now = monotonic()
-        # Launch ready shards into free slots.
-        waiting.sort()
-        while waiting and waiting[0][0] <= now and len(running) < processes:
-            _, shard = waiting.pop(0)
-            attempts[shard] += 1
-            if _obs._ENABLED:
-                registry = _obs.default_registry()
-                registry.counter("supervisor.attempts").inc()
-                if attempts[shard] > 1:
-                    registry.counter("supervisor.retries").inc()
-            process = ctx.Process(
-                target=_worker_entry,
-                args=(by_shard[shard], fault, attempts[shard], queue),
-                daemon=True,
-            )
-            process.start()
-            deadline = (
-                now + supervisor.timeout if supervisor.timeout is not None
-                else float("inf")
-            )
-            running[shard] = (process, deadline)
-
-        # Drain finished workers (results must be consumed before join).
-        while True:
-            try:
-                shard, status, payload = queue.get_nowait()
-            except Empty:
-                break
-            entry = running.pop(shard, None)
-            if entry is None:
-                continue  # late report from a terminated worker
-            process, _ = entry
-            if status == "ok":
-                results[shard] = payload
-                process.join(timeout=5.0)
-            else:
-                reap(shard, process, payload)
-
-        # Enforce deadlines and notice silent deaths.
-        now = monotonic()
-        for shard in list(running):
-            entry = running.get(shard)
-            if entry is None:
-                continue  # its late report was consumed by an earlier shard
-            process, deadline = entry
-            if now > deadline:
-                running.pop(shard)
-                process.terminate()
-                if _obs._ENABLED:
-                    _obs.default_registry().counter("supervisor.timeouts").inc()
-                reap(shard, process, f"timeout after {supervisor.timeout}s")
-            elif not process.is_alive():
-                # Dead without reporting: give the queue feeder one tick
-                # to deliver, then treat as a hard crash.
-                time.sleep(supervisor.poll_interval)
-                try:
-                    late_shard, status, payload = queue.get_nowait()
-                except Empty:
-                    running.pop(shard)
-                    if _obs._ENABLED:
-                        _obs.default_registry().counter(
-                            "supervisor.worker_deaths"
-                        ).inc()
-                    reap(
-                        shard,
-                        process,
-                        f"worker died without result (exitcode {process.exitcode})",
-                    )
-                else:
-                    entry = running.pop(late_shard, None)
-                    if entry is None:
-                        continue
-                    late_process, _ = entry
-                    if status == "ok":
-                        results[late_shard] = payload
-                        late_process.join(timeout=5.0)
-                    else:
-                        reap(late_shard, late_process, payload)
-
-        if running:
-            time.sleep(supervisor.poll_interval)
-
-    queue.close()
-    return [results[task[0]] for task in tasks]
-
-
-def cluster_stream_parallel(
-    events: Sequence[AnyEvent],
-    config: ClustererConfig,
-    num_shards: int,
-    pool_processes: int | None = None,
-    supervisor: SupervisorConfig | None = None,
-    fault=None,
-    batch_size: int | None = None,
-) -> Tuple[Partition, List[ShardResult]]:
-    """Cluster a finite stream with one supervised process per shard.
-
-    The stream is hash-partitioned by edge, shards are processed in
-    worker processes (or inline when ``pool_processes`` is 0/1 or
-    ``num_shards == 1``), and the shard samples are merged into the
-    final partition. Only edge events are supported here — broadcast
-    vertex events need the online :class:`ShardedClusterer`. Events may
-    be :class:`EdgeEvent` instances or raw ``(kind, u, v)`` tuples;
-    ``batch_size`` makes each worker ingest its shard through the
-    batched fast path (``None`` keeps the per-event reference path).
-
-    Pass a :class:`SupervisorConfig` to run under supervision: per-worker
-    timeouts, bounded retry with exponential backoff, and graceful
-    degradation (permanently failed shards are dropped from the merge
-    with a warning and a ``failed=True`` tombstone in the results).
-    ``fault`` injects a deterministic :class:`~repro.util.faults.ShardFault`
-    into workers, for testing; providing one implies supervision.
-    """
-    check_positive("num_shards", num_shards)
-    buckets: List[List[AnyEvent]] = [[] for _ in range(num_shards)]
-    for event in events:
-        if type(event) is tuple:
-            kind, u, v = event
-            if kind is not EventKind.ADD_EDGE and kind is not EventKind.DELETE_EDGE:
-                raise ValueError(
-                    "cluster_stream_parallel supports edge events only; "
-                    "use ShardedClusterer for vertex events"
-                )
-            edge = canonical_edge(u, v)
-        elif event.is_edge_event:
-            edge = event.edge
-        else:
-            raise ValueError(
-                "cluster_stream_parallel supports edge events only; "
-                "use ShardedClusterer for vertex events"
-            )
-        buckets[_shard_of(edge, num_shards)].append(event)
-
-    tasks = [
-        (i, config, num_shards, bucket, batch_size)
-        for i, bucket in enumerate(buckets)
-    ]
-    if fault is not None and supervisor is None:
-        supervisor = SupervisorConfig()
-    inline = num_shards == 1 or (pool_processes is not None and pool_processes <= 1)
-    if supervisor is None:
-        if inline:
-            results = [_process_shard(task) for task in tasks]
-        else:
-            import multiprocessing
-
-            processes = pool_processes or min(num_shards, multiprocessing.cpu_count())
-            with _mp_context().Pool(processes=processes) as pool:
-                results = pool.map(_process_shard, tasks)
-    elif inline:
-        results = _run_supervised_inline(tasks, supervisor, fault)
-    else:
-        import multiprocessing
-
-        processes = pool_processes or min(num_shards, multiprocessing.cpu_count())
-        results = _run_supervised_pool(tasks, supervisor, fault, processes)
-
-    merged = merge_shard_samples(
-        config.constraint,
-        (
-            (result.vertices, result.sampled_edges)
-            for result in results
-            if not result.failed
-        ),
-    )
-    return merged, results

@@ -1,25 +1,32 @@
 """Compact binary codec for raw event batches.
 
 The multiprocess pipeline (:mod:`repro.core.pipeline`) ships event
-batches from the parsing/routing stage to long-lived shard workers.
+batches from the parsing/routing stage to long-lived shard workers, and
+the streaming service (:mod:`repro.serve`) receives them from clients.
 Pickling a list of per-event objects costs more than the clustering
-work itself at high throughput, so batches travel as *frames*: a small
-interned vertex table followed by the events as packed ``uint32``
-triplets — one bulk :func:`struct.pack` call per frame, no per-event
-object overhead on either side.
+work itself at high throughput, so batches travel as *frames*: the
+vertex labels the receiver has not seen yet, followed by the events as
+packed ``uint32`` triplets — one bulk :func:`struct.pack` call per
+frame, no per-event object overhead on either side.
 
-Frame layout (all integers little-endian)::
+Delta frames (version 2)
+------------------------
+:class:`FrameEncoder` writes frames against a vertex table that lives
+for the *connection*, not the frame. Each frame ships only the entries
+the receiver has not seen yet (``u32`` indexes address the cumulative
+table), so a long-lived shard stops paying label bytes for its working
+set almost immediately. All integers are little-endian::
 
-    u8   format version (1)
-    u32  vertex-table entry count T
+    u8   format version (2)
+    u32  NEW vertex-table entry count T (appended to the table)
     T×   tagged entry:
            0x00  s64            — int vertex in the signed 64-bit range
            0x01  u32 len, utf-8 — string vertex
            0x02  u32 len, ascii — int vertex outside the 64-bit range
                                   (decimal digits)
     u32  event count N
-    N×   u32 kind, u32 u_index, u32 v_index
-         (v_index = 0xFFFFFFFF for vertex events)
+    N×   u32 kind, u32 u_index, u32 v_index  (cumulative-table indexes;
+         v_index = 0xFFFFFFFF for vertex events)
 
 Supported vertex types are ``int`` and ``str`` — exactly what the
 stream readers in :mod:`repro.streams.io` produce. Anything else (and
@@ -27,39 +34,22 @@ stream readers in :mod:`repro.streams.io` produce. Anything else (and
 ``TypeError`` at encode time. Table lookups are by equality, so every
 *new* vertex value is type-checked as it is interned.
 
-Round-trip is exact: ``decode_batch(encode_batch(events))`` returns the
-same ``(kind, u, v)`` tuples, property-tested in
-``tests/test_codec.py``. A corrupt or truncated frame raises
-``ValueError`` from :func:`decode_batch`.
+Two stateful readers mirror the encoder's table. Round-trip is exact
+(property-tested in ``tests/test_codec.py``), and a corrupt or
+truncated frame raises ``ValueError`` from either:
 
-Delta frames (version 2)
-------------------------
-:class:`FrameEncoder` / :class:`FrameDecoder` implement the stateful
-variant the persistent pipeline uses: the vertex table lives for the
-*connection*, not the frame. Each frame ships only the entries the
-receiver has not seen yet (``u32`` indexes address the cumulative
-table), so a long-lived shard stops paying label bytes for its working
-set almost immediately::
-
-    u8   format version (2)
-    u32  NEW vertex-table entry count T (appended to the table)
-    T×   tagged entry (same tags as version 1)
-    u32  event count N
-    N×   u32 kind, u32 u_index, u32 v_index  (cumulative-table indexes)
-
-The decoder additionally *interns* vertices straight into a
-:class:`~repro.graph.intern.VertexInterner` — edge endpoints and
-ADD_VERTEX labels are assigned dense ids at decode time, in exactly the
-order the sequential batch path would assign them, so a pipeline worker
-applies edge runs as already-interned id tuples with zero label
-rehydration on its hot path (see
-``StreamingGraphClusterer.apply_interned_many``).
-
-:class:`DeltaBatchDecoder` is the interner-free sibling for consumers
-that live *outside* a clusterer process — the streaming service
-(:mod:`repro.serve`) decodes client frames at the socket boundary into
-plain raw ``(kind, u, v)`` label tuples and only then routes them onto
-a tenant session.
+* :class:`FrameDecoder` additionally *interns* vertices straight into a
+  :class:`~repro.graph.intern.VertexInterner` — edge endpoints and
+  ADD_VERTEX labels are assigned dense ids at decode time, in exactly
+  the order the sequential batch path would assign them, so a pipeline
+  worker applies edge runs as already-interned id tuples with zero
+  label rehydration on its hot path (see
+  ``StreamingGraphClusterer.apply_interned_many``).
+* :class:`DeltaBatchDecoder` is the interner-free sibling for consumers
+  that live *outside* a clusterer process — the streaming service
+  decodes client frames at the socket boundary into plain raw
+  ``(kind, u, v)`` label tuples and only then routes them onto a tenant
+  session.
 
 Columnar frames (version 3)
 ---------------------------
@@ -70,7 +60,7 @@ cumulative vertex table the version-2 delta frames grow::
     u8   format version (3)
     u8   flags (bit 0: ALL_ADD — required; other bits reserved)
     u32  NEW vertex-table entry count T (appended to the table)
-    T×   tagged entry (same tags as version 1)
+    T×   tagged entry (same tags as version 2)
     u32  event count N
     N×   u32 u_index   (one contiguous block)
     N×   u32 v_index   (one contiguous block)
@@ -127,7 +117,6 @@ except ImportError:  # pragma: no cover - numpy is present in CI
     _np = None
 
 __all__ = [
-    "CODEC_VERSION",
     "COLUMNAR_CODEC_VERSION",
     "DELTA_CODEC_VERSION",
     "DEFAULT_MAX_FRAME_BYTES",
@@ -137,17 +126,13 @@ __all__ = [
     "FrameEncoder",
     "WIRE_MAGIC",
     "WIRE_VERSION",
-    "decode_batch",
     "decode_hello",
-    "encode_batch",
-    "encode_batches",
     "encode_hello",
     "pack_wire_message",
     "split_wire_message",
     "wire_message_parts",
 ]
 
-CODEC_VERSION = 1
 DELTA_CODEC_VERSION = 2
 COLUMNAR_CODEC_VERSION = 3
 
@@ -167,9 +152,10 @@ WIRE_VERSION = 1
 #: the server allocate gigabytes.
 DEFAULT_MAX_WIRE_BYTES = 4 * 1024 * 1024
 
-#: Default frame-size ceiling for :func:`encode_batches`. Frames are
-#: also pipe messages, so keeping them well under the OS pipe buffer
-#: lets the producer's ``send`` return without blocking on the worker.
+#: Default frame-size ceiling for :meth:`FrameEncoder.encode_batches`.
+#: Frames are also pipe messages, so keeping them well under the OS pipe
+#: buffer lets the producer's ``send`` return without blocking on the
+#: worker.
 DEFAULT_MAX_FRAME_BYTES = 256 * 1024
 
 _INT64_MIN = -(1 << 63)
@@ -227,84 +213,11 @@ def _event_fields(event) -> Tuple[EventKind, object, object]:
     return event.kind, event.u, event.v
 
 
-def encode_batch(events: Sequence) -> bytes:
-    """Encode a batch of events (raw tuples or ``EdgeEvent``) as one frame."""
-    table: dict = {}
-    entries: List[bytes] = []
-    flat: List[int] = []
-    kind_code = _KIND_CODE
-    no_vertex = _NO_VERTEX
-    for event in events:
-        kind, u, v = _event_fields(event)
-        code = kind_code.get(kind)
-        if code is None:
-            raise ValueError(f"unknown event kind {kind!r}")
-        u_index = table.get(u)
-        if u_index is None:
-            u_index = table[u] = len(entries)
-            entries.append(_encode_entry(u))
-        if v is None:
-            v_index = no_vertex
-        else:
-            v_index = table.get(v)
-            if v_index is None:
-                v_index = table[v] = len(entries)
-                entries.append(_encode_entry(v))
-        flat.append(code)
-        flat.append(u_index)
-        flat.append(v_index)
-    parts = [_HEADER.pack(CODEC_VERSION, len(entries))]
-    parts.extend(entries)
-    parts.append(_U32.pack(len(flat) // 3))
-    parts.append(struct.pack(f"<{len(flat)}I", *flat))
-    return b"".join(parts)
-
-
-def encode_batches(
-    events: Iterable, *, max_bytes: int = DEFAULT_MAX_FRAME_BYTES
-) -> Iterator[bytes]:
-    """Encode events into one or more frames of at most ``max_bytes``.
-
-    Splits greedily on exact size accounting (header + table entries +
-    12 bytes per event). A single event whose vertex labels alone exceed
-    ``max_bytes`` still gets its own (oversized) frame — the codec never
-    drops or truncates an event. Yields nothing for an empty input.
-    """
-    if max_bytes <= 0:
-        raise ValueError(f"max_bytes must be positive, got {max_bytes}")
-    batch: List = []
-    # Running frame size: 5-byte header + 4-byte event count so far.
-    size = _HEADER.size + _U32.size
-    seen: set = set()
-    for event in events:
-        _, u, v = _event_fields(event)
-        added = 12  # one packed triplet
-        if u not in seen:
-            added += len(_encode_entry(u))
-        if v is not None and v not in seen and v != u:
-            added += len(_encode_entry(v))
-        if batch and size + added > max_bytes:
-            yield encode_batch(batch)
-            batch = []
-            seen = set()
-            size = _HEADER.size + _U32.size
-            added = 12 + len(_encode_entry(u))
-            if v is not None and v != u:
-                added += len(_encode_entry(v))
-        batch.append(event)
-        seen.add(u)
-        if v is not None:
-            seen.add(v)
-        size += added
-    if batch:
-        yield encode_batch(batch)
-
-
 def _decode_entries(data, offset: int, count: int, out: List[object]) -> int:
     """Parse ``count`` tagged vertex-table entries into ``out``.
 
-    Shared by the stateless version-1 reader and the delta decoders;
-    ``data`` is any bytes-like object (the wire readers hand in
+    Shared by the version-2 and version-3 readers; ``data`` is any
+    bytes-like object (the wire readers hand in
     memoryviews over the receive buffer). Returns the offset past the
     last entry. Structural problems raise ``ValueError`` (callers add no
     further context — the messages are already frame-specific).
@@ -335,66 +248,6 @@ def _decode_entries(data, offset: int, count: int, out: List[object]) -> int:
             raise ValueError(f"corrupt event frame: unknown vertex entry tag {tag}")
         out.append(value)
     return offset
-
-
-def decode_batch(data: bytes) -> List[RawEvent]:
-    """Decode one frame back into raw ``(kind, u, v)`` event tuples.
-
-    Raises ``ValueError`` for anything structurally wrong: unknown
-    format version, truncated data, out-of-range table indexes, or an
-    edge event missing its second endpoint.
-    """
-    try:
-        version, table_count = _HEADER.unpack_from(data, 0)
-    except struct.error:
-        raise ValueError("corrupt event frame: truncated header") from None
-    if version != CODEC_VERSION:
-        raise ValueError(
-            f"corrupt event frame: unsupported codec version {version} "
-            f"(this build reads {CODEC_VERSION})"
-        )
-    offset = _HEADER.size
-    vertices: List[object] = []
-    try:
-        offset = _decode_entries(data, offset, table_count, vertices)
-        (count,) = _U32.unpack_from(data, offset)
-        offset += 4
-        flat = struct.unpack_from(f"<{3 * count}I", data, offset)
-    except (struct.error, IndexError, UnicodeDecodeError) as error:
-        raise ValueError(f"corrupt event frame: {error}") from None
-    if offset + 12 * count != len(data):
-        raise ValueError(
-            f"corrupt event frame: {len(data) - offset - 12 * count} "
-            "trailing bytes"
-        )
-    kinds = EVENT_KINDS
-    edge_codes = _EDGE_CODES
-    no_vertex = _NO_VERTEX
-    events: List[RawEvent] = []
-    append = events.append
-    for i in range(0, 3 * count, 3):
-        code, u_index, v_index = flat[i], flat[i + 1], flat[i + 2]
-        if code >= len(kinds):
-            raise ValueError(f"corrupt event frame: unknown kind code {code}")
-        if u_index >= table_count:
-            raise ValueError(
-                f"corrupt event frame: vertex index {u_index} out of range"
-            )
-        if code in edge_codes:
-            if v_index >= table_count:
-                raise ValueError(
-                    "corrupt event frame: edge event with missing or "
-                    f"out-of-range endpoint index {v_index}"
-                )
-            append((kinds[code], vertices[u_index], vertices[v_index]))
-        else:
-            if v_index != no_vertex:
-                raise ValueError(
-                    "corrupt event frame: vertex event carries a second "
-                    "endpoint"
-                )
-            append((kinds[code], vertices[u_index], None))
-    return events
 
 
 class FrameEncoder:
@@ -482,11 +335,15 @@ class FrameEncoder:
     def encode_batches(
         self, events: Iterable, *, max_bytes: int = DEFAULT_MAX_FRAME_BYTES
     ) -> Iterator[bytes]:
-        """Delta-frame counterpart of :func:`encode_batches`.
+        """Encode events into one or more frames of at most ``max_bytes``.
 
-        Size accounting charges a label's entry bytes only the first
-        time the *connection* (not the frame) mentions it, so a warm
-        table packs far more events per frame.
+        Splits greedily on exact size accounting (header + new table
+        entries + 12 bytes per event). A label's entry bytes are charged
+        only the first time the *connection* (not the frame) mentions
+        it, so a warm table packs far more events per frame. A single
+        event whose new labels alone exceed ``max_bytes`` still gets its
+        own (oversized) frame — the codec never drops or truncates an
+        event. Yields nothing for an empty input.
         """
         if max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")

@@ -3,13 +3,13 @@
 A long-lived streaming deployment will be killed mid-stream, its
 workers will hang or crash, its disks will hiccup, and its checkpoint
 files will rot. This module provides *deterministic* stand-ins for all
-of those so the recovery machinery (:mod:`repro.persist`, the
-supervised parallel driver in :mod:`repro.core.sharded`) can be tested
-without flaky timing games:
+of those so the recovery machinery (:mod:`repro.persist`, the worker
+supervision in :mod:`repro.core.pipeline`) can be tested without flaky
+timing games:
 
 * :func:`kill_at_event` — crash a stream consumer after exactly N events;
 * :class:`CrashShard` / :class:`HangShard` — picklable per-shard faults
-  for the multiprocessing driver (crash or hang on the first K attempts);
+  for the pipeline's workers (crash or hang on the first K attempts);
 * :func:`corrupt_checkpoint` — flip a byte or truncate a checkpoint file;
 * :class:`FlakyOpen` — an ``open`` replacement whose first K write-mode
   opens fail, for exercising atomic-write error paths.
@@ -71,11 +71,11 @@ def kill_at_event(
 class ShardFault:
     """Base class for picklable faults injected into shard workers.
 
-    The supervised parallel driver calls ``fault(shard, attempt)`` inside
-    the worker before it processes its bucket (``attempt`` counts from 1).
-    Subclasses misbehave for their target shard on early attempts and
-    return normally afterwards, so bounded retry can be exercised
-    deterministically.
+    A :class:`~repro.core.pipeline.PipelineClusterer` worker calls
+    ``fault(shard, attempt)`` at startup, before it builds its clusterer
+    (``attempt`` counts from 1). Subclasses misbehave for their target
+    shard on early attempts and return normally afterwards, so bounded
+    retry can be exercised deterministically.
     """
 
     def __call__(self, shard: int, attempt: int) -> None:  # pragma: no cover

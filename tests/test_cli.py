@@ -187,7 +187,7 @@ class TestParallelModes:
     def test_all_modes_produce_identical_labels(self, workload, tmp_path):
         edges, _ = workload
         outputs = {}
-        for mode in ("inline", "pipeline", "pool"):
+        for mode in ("inline", "pipeline"):
             out = tmp_path / f"{mode}.labels"
             code = main([
                 "cluster", str(edges), "--capacity", "200", "--seed", "5",
@@ -195,7 +195,7 @@ class TestParallelModes:
             ])
             assert code == 0
             outputs[mode] = out.read_text()
-        assert outputs["inline"] == outputs["pipeline"] == outputs["pool"]
+        assert outputs["inline"] == outputs["pipeline"]
 
     def test_sharded_summary_line(self, workload, capsys):
         edges, _ = workload
@@ -283,15 +283,6 @@ class TestParallelModes:
         ])
         assert code == 2
         assert "--parallel" in capsys.readouterr().err
-
-    def test_pool_with_checkpoint_refused(self, workload, tmp_path, capsys):
-        edges, _ = workload
-        code = main([
-            "cluster", str(edges), "--capacity", "200",
-            "--parallel", "pool", "--checkpoint", str(tmp_path / "x.ckpt"),
-        ])
-        assert code == 2
-        assert "pool" in capsys.readouterr().err
 
     def test_pipeline_metrics_snapshot(self, workload, tmp_path, capsys):
         import json

@@ -1,4 +1,8 @@
-"""Round-trip and robustness tests for the binary event-batch codec."""
+"""Round-trip and robustness tests for the binary event-batch codec.
+
+Frames are written by :class:`FrameEncoder` and read back by
+:class:`DeltaBatchDecoder`, the label-space reader the service uses.
+"""
 
 from __future__ import annotations
 
@@ -8,10 +12,9 @@ from hypothesis import strategies as st
 
 from repro.streams import add_edge, delete_vertex
 from repro.streams.codec import (
-    CODEC_VERSION,
-    decode_batch,
-    encode_batch,
-    encode_batches,
+    COLUMNAR_CODEC_VERSION,
+    DeltaBatchDecoder,
+    FrameEncoder,
 )
 from repro.streams.events import EventKind
 
@@ -26,6 +29,8 @@ _vertices = st.one_of(
 _edge_kinds = st.sampled_from([EventKind.ADD_EDGE, EventKind.DELETE_EDGE])
 _vertex_kinds = st.sampled_from([EventKind.ADD_VERTEX, EventKind.DELETE_VERTEX])
 
+# Fewer events than DeltaBatchDecoder's columnar threshold, so every
+# frame decodes to plain label tuples.
 _events = st.lists(
     st.one_of(
         st.tuples(_edge_kinds, _vertices, _vertices),
@@ -35,105 +40,113 @@ _events = st.lists(
 )
 
 
+def roundtrip(events):
+    return DeltaBatchDecoder().decode(FrameEncoder().encode_batch(events))
+
+
 class TestRoundTrip:
     @given(_events)
     @settings(max_examples=200, deadline=None)
     def test_single_frame_roundtrip_is_exact(self, events):
-        assert decode_batch(encode_batch(events)) == events
+        assert roundtrip(events) == events
 
     @given(_events, st.integers(min_value=1, max_value=200))
     @settings(max_examples=100, deadline=None)
     def test_split_frames_concatenate_to_input(self, events, max_bytes):
-        frames = list(encode_batches(events, max_bytes=max_bytes))
-        decoded = [event for frame in frames for event in decode_batch(frame)]
-        assert decoded == events
+        frames = list(FrameEncoder().encode_batches(events, max_bytes=max_bytes))
+        decoder = DeltaBatchDecoder()
+        batches = [decoder.decode(frame) for frame in frames]
+        assert [event for batch in batches for event in batch] == events
         # Only a frame holding a single oversized event may exceed the cap.
-        for frame in frames:
+        for frame, batch in zip(frames, batches):
             if len(frame) > max_bytes:
-                assert len(decode_batch(frame)) == 1
+                assert len(batch) == 1
 
     def test_empty_batch(self):
-        assert decode_batch(encode_batch([])) == []
-        assert list(encode_batches([], max_bytes=64)) == []
+        assert roundtrip([]) == []
+        assert list(FrameEncoder().encode_batches([], max_bytes=64)) == []
 
     def test_unicode_labels(self):
         events = [(EventKind.ADD_EDGE, "naïve-α", "vertex-\U0001f600")]
-        assert decode_batch(encode_batch(events)) == events
+        assert roundtrip(events) == events
 
     def test_bigint_and_negative_vertices(self):
         events = [(EventKind.ADD_EDGE, -(1 << 70), (1 << 70) + 3)]
-        assert decode_batch(encode_batch(events)) == events
+        assert roundtrip(events) == events
 
     def test_edge_event_objects_accepted(self):
-        frame = encode_batch([add_edge(1, 2), delete_vertex(3)])
-        assert decode_batch(frame) == [
+        assert roundtrip([add_edge(1, 2), delete_vertex(3)]) == [
             (EventKind.ADD_EDGE, 1, 2),
             (EventKind.DELETE_VERTEX, 3, None),
         ]
 
     def test_interning_shares_table_entries(self):
         events = [(EventKind.ADD_EDGE, "hub", f"leaf-{i}") for i in range(50)]
-        frame = encode_batch(events)
+        frame = FrameEncoder().encode_batch(events)
         # "hub" appears once in the table, not 50 times.
         assert frame.count(b"hub") == 1
-        assert decode_batch(frame) == events
+        assert DeltaBatchDecoder().decode(frame) == events
 
 
 class TestEncodingErrors:
     def test_bool_vertices_rejected(self):
         with pytest.raises(TypeError, match="int and str"):
-            encode_batch([(EventKind.ADD_EDGE, True, 2)])
+            FrameEncoder().encode_batch([(EventKind.ADD_EDGE, True, 2)])
 
     def test_unsupported_vertex_type_rejected(self):
         with pytest.raises(TypeError, match="float"):
-            encode_batch([(EventKind.ADD_EDGE, 1.5, 2)])
+            FrameEncoder().encode_batch([(EventKind.ADD_EDGE, 1.5, 2)])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown event kind"):
-            encode_batch([("not-a-kind", 1, 2)])
+            FrameEncoder().encode_batch([("not-a-kind", 1, 2)])
 
     def test_nonpositive_max_bytes_rejected(self):
         with pytest.raises(ValueError, match="max_bytes"):
-            list(encode_batches([add_edge(1, 2)], max_bytes=0))
+            list(FrameEncoder().encode_batches([add_edge(1, 2)], max_bytes=0))
+
+
+def frame_of(events) -> bytearray:
+    return bytearray(FrameEncoder().encode_batch(events))
 
 
 class TestDecodingErrors:
-    FRAME = encode_batch([(EventKind.ADD_EDGE, 1, "two")])
+    FRAME = bytes(frame_of([(EventKind.ADD_EDGE, 1, "two")]))
 
     def test_truncation_rejected(self):
         for cut in range(len(self.FRAME)):
             with pytest.raises(ValueError, match="corrupt event frame"):
-                decode_batch(self.FRAME[:cut])
+                DeltaBatchDecoder().decode(self.FRAME[:cut])
 
     def test_trailing_bytes_rejected(self):
         with pytest.raises(ValueError, match="trailing"):
-            decode_batch(self.FRAME + b"\x00")
+            DeltaBatchDecoder().decode(self.FRAME + b"\x00")
 
     def test_future_version_rejected(self):
-        bogus = bytes([CODEC_VERSION + 1]) + self.FRAME[1:]
+        bogus = bytes([COLUMNAR_CODEC_VERSION + 1]) + self.FRAME[1:]
         with pytest.raises(ValueError, match="version"):
-            decode_batch(bogus)
+            DeltaBatchDecoder().decode(bogus)
 
     def test_unknown_kind_code_rejected(self):
-        frame = bytearray(encode_batch([(EventKind.ADD_EDGE, 1, 2)]))
+        frame = frame_of([(EventKind.ADD_EDGE, 1, 2)])
         frame[-12] = 200  # kind field of the only event triplet
         with pytest.raises(ValueError, match="kind code"):
-            decode_batch(bytes(frame))
+            DeltaBatchDecoder().decode(bytes(frame))
 
     def test_out_of_range_vertex_index_rejected(self):
-        frame = bytearray(encode_batch([(EventKind.ADD_EDGE, 1, 2)]))
+        frame = frame_of([(EventKind.ADD_EDGE, 1, 2)])
         frame[-8] = 9  # u_index beyond the 2-entry table
         with pytest.raises(ValueError, match="out of range"):
-            decode_batch(bytes(frame))
+            DeltaBatchDecoder().decode(bytes(frame))
 
     def test_vertex_event_with_endpoint_rejected(self):
-        frame = bytearray(encode_batch([(EventKind.ADD_VERTEX, 1, None)]))
+        frame = frame_of([(EventKind.ADD_VERTEX, 1, None)])
         frame[-4:] = (0).to_bytes(4, "little")  # v_index: NO_VERTEX -> 0
         with pytest.raises(ValueError, match="second"):
-            decode_batch(bytes(frame))
+            DeltaBatchDecoder().decode(bytes(frame))
 
     def test_edge_missing_endpoint_rejected(self):
-        frame = bytearray(encode_batch([(EventKind.ADD_EDGE, 1, 2)]))
+        frame = frame_of([(EventKind.ADD_EDGE, 1, 2)])
         frame[-4:] = (0xFFFFFFFF).to_bytes(4, "little")
         with pytest.raises(ValueError, match="endpoint"):
-            decode_batch(bytes(frame))
+            DeltaBatchDecoder().decode(bytes(frame))

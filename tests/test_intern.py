@@ -205,11 +205,11 @@ class TestDeltaCodec:
         assert worker.get_state() == inline.get_state()
 
     def test_rejects_stateless_v1_frames(self):
-        from repro.streams.codec import encode_batch
-
+        frame = bytearray(FrameEncoder().encode_batch([(ADD, "a", "b")]))
+        frame[0] = 1  # the retired stateless format's version byte
         decoder = FrameDecoder(VertexInterner())
         with pytest.raises(ValueError, match="delta codec version"):
-            decoder.decode(encode_batch([(ADD, "a", "b")]))
+            decoder.decode(bytes(frame))
 
 
 def churn_events():

@@ -10,8 +10,12 @@ absorbed by the replay log without changing any of that.
 
 from __future__ import annotations
 
+import time
+import warnings
+
 import pytest
 
+from repro import obs
 from repro.core import (
     ClustererConfig,
     MaxClusterSize,
@@ -23,12 +27,15 @@ from repro.errors import CheckpointError
 from repro.persist import PeriodicCheckpointer, load_checkpoint, save_checkpoint
 from repro.streams import insert_delete_stream, planted_partition
 from repro.streams.events import EventKind
-from repro.util.faults import CrashShard
+from repro.util.faults import CrashShard, HangShard
 
 CONFIG = ClustererConfig(
     reservoir_capacity=60, seed=9, strict=False, constraint=MaxClusterSize(40)
 )
 FAST = SupervisorConfig(timeout=20.0, max_attempts=3, backoff=0.01)
+# A 3-worker pipeline takes well under a second to start on a 2-vCPU
+# VM; 5 s leaves room for a loaded host and still cuts a 60-s hang.
+HANG = SupervisorConfig(timeout=5.0, max_attempts=2, backoff=0.01)
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +243,44 @@ class TestFaultTolerance:
             assert pipe.shard_attempts[0] == 1 and pipe.shard_attempts[2] == 1
             assert pipe.worker_restarts >= 1
 
+    def test_hard_startup_crash_is_retried(self, events, sequential):
+        """os._exit at startup sends no reply: the parent sees the pipe
+        close and respawns the worker."""
+        with make_pipeline(
+            3,
+            batch_events=32,
+            fault=CrashShard(shard=0, fail_attempts=1, hard=True),
+        ) as pipe:
+            pipe.process(list(events))
+            assert pipe.snapshot() == sequential(3).snapshot()
+            assert pipe.shard_attempts == [2, 1, 1]
+
+    def test_startup_hang_is_terminated_and_retried(self, events, sequential):
+        start = time.monotonic()
+        with make_pipeline(
+            3,
+            batch_events=32,
+            fault=HangShard(shard=2, seconds=60.0, fail_attempts=1),
+            supervisor=HANG,
+        ) as pipe:
+            pipe.process(list(events))
+            assert pipe.snapshot() == sequential(3).snapshot()
+            assert pipe.shard_attempts == [1, 1, 2]
+        assert time.monotonic() - start < 30.0  # nowhere near the 60-s hang
+
+    def test_failed_shard_keeps_surviving_vertices(self, events, sequential):
+        with pytest.warns(RuntimeWarning, match="shard 0 failed permanently"):
+            with make_pipeline(
+                3,
+                batch_events=32,
+                fault=CrashShard(shard=0, fail_attempts=99),
+                supervisor=SupervisorConfig(timeout=20.0, max_attempts=1),
+            ) as pipe:
+                pipe.process(list(events))
+                surviving = set(pipe.snapshot().vertices())
+        for shard in sequential(3).shards[1:]:
+            assert surviving >= set(shard.vertices())
+
     def test_worker_death_mid_stream_is_replayed(self, events, sequential):
         cut = len(events) // 2
         with make_pipeline(3, batch_events=16) as pipe:
@@ -285,6 +330,68 @@ class TestFaultTolerance:
                 )
                 with pytest.raises(CheckpointError, match="degraded"):
                     pipe.get_state()
+
+
+_SUPERVISOR_COUNTERS = (
+    "attempts", "retries", "timeouts", "worker_deaths", "degradations",
+)
+
+
+@pytest.mark.parametrize(
+    "fault,supervisor,kill,expected",
+    [
+        pytest.param(None, FAST, False, (3, 0, 0, 0, 0), id="clean"),
+        pytest.param(
+            CrashShard(shard=1), FAST, False, (4, 1, 0, 0, 0),
+            id="soft-startup-crash",
+        ),
+        pytest.param(
+            CrashShard(shard=0, hard=True), FAST, False, (4, 1, 0, 0, 0),
+            id="hard-startup-crash",
+        ),
+        pytest.param(
+            HangShard(shard=2, seconds=60.0), HANG, False, (4, 1, 1, 0, 0),
+            id="startup-hang",
+        ),
+        pytest.param(
+            CrashShard(shard=1, fail_attempts=99),
+            SupervisorConfig(timeout=20.0, max_attempts=2, backoff=0.01),
+            False,
+            (4, 1, 0, 0, 1),
+            id="permanent",
+        ),
+        pytest.param(None, FAST, True, (4, 1, 0, 1, 0), id="mid-stream-terminate"),
+    ],
+)
+def test_supervisor_counters(events, fault, supervisor, kill, expected):
+    """attempts/retries/timeouts/worker_deaths/degradations per failure
+    mode. A worker death is a worker lost after it answered READY; a
+    failed startup, first or respawned, is never one."""
+    registry = obs.default_registry()
+    registry.reset()
+    obs.enable()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # "permanent" warns
+            with make_pipeline(
+                3, batch_events=16, fault=fault, supervisor=supervisor
+            ) as pipe:
+                cut = len(events) // 2
+                pipe.process(events[:cut])
+                if kill:
+                    victim = pipe._procs[1]
+                    victim.terminate()
+                    victim.join()
+                pipe.process(events[cut:])
+                pipe.snapshot()
+        counts = tuple(
+            registry.counter(f"supervisor.{name}").value
+            for name in _SUPERVISOR_COUNTERS
+        )
+    finally:
+        obs.disable()
+        registry.reset()
+    assert counts == expected
 
 
 class TestLifecycle:

@@ -6,7 +6,6 @@ from repro.core import (
     ClustererConfig,
     ShardedClusterer,
     StreamingGraphClusterer,
-    cluster_stream_parallel,
 )
 from repro.core.sharded import _mp_context
 from repro.streams import (
@@ -156,28 +155,3 @@ class TestMergeCache:
         assert restored.merge_builds == 0
         assert restored.snapshot() == expected
         assert restored.merge_builds == 1
-
-
-class TestParallelDriver:
-    def test_inline_driver_matches_sharded(self, sbm_events):
-        events, _ = sbm_events
-        config = ClustererConfig(reservoir_capacity=400, strict=False)
-        partition, results = cluster_stream_parallel(
-            events, config, num_shards=4, pool_processes=1
-        )
-        sharded = ShardedClusterer(config, num_shards=4).process(events)
-        assert partition == sharded.snapshot()
-        assert sorted(r.shard for r in results) == [0, 1, 2, 3]
-        assert sum(r.events for r in results) == len(events)
-
-    def test_pool_driver_matches_inline(self, sbm_events):
-        events, _ = sbm_events
-        config = ClustererConfig(reservoir_capacity=200, strict=False)
-        inline, _ = cluster_stream_parallel(events, config, 3, pool_processes=1)
-        pooled, _ = cluster_stream_parallel(events, config, 3, pool_processes=2)
-        assert inline == pooled
-
-    def test_vertex_events_rejected(self):
-        config = ClustererConfig(reservoir_capacity=10, strict=False)
-        with pytest.raises(ValueError, match="edge events only"):
-            cluster_stream_parallel([add_vertex(1)], config, 2)

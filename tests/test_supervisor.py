@@ -1,29 +1,11 @@
-"""Tests for the supervised parallel driver and deterministic faults."""
-
-import time
+"""Tests for the supervisor policy, stable shard routing and the
+stream-kill fault (worker faults run in tests/test_pipeline.py)."""
 
 import pytest
 
-from repro.core import ClustererConfig, SupervisorConfig, cluster_stream_parallel
+from repro.core import SupervisorConfig
 from repro.core.sharded import _shard_of, _stable_vertex_key
-from repro.streams import insert_delete_stream, planted_partition
-from repro.util.faults import CrashShard, HangShard, SimulatedCrash, kill_at_event
-
-
-@pytest.fixture(scope="module")
-def events():
-    graph = planted_partition(60, 3, p_in=0.3, p_out=0.02, seed=21)
-    return insert_delete_stream(graph.edges, churn=0.3, seed=21)
-
-
-CONFIG = ClustererConfig(reservoir_capacity=60, seed=9, strict=False)
-FAST = SupervisorConfig(timeout=20.0, max_attempts=3, backoff=0.01)
-
-
-def baseline(events):
-    partition, results = cluster_stream_parallel(events, CONFIG, 3)
-    assert all(not r.failed for r in results)
-    return partition
+from repro.util.faults import SimulatedCrash, kill_at_event
 
 
 class TestSupervisorConfig:
@@ -41,108 +23,6 @@ class TestSupervisorConfig:
         assert sup.delay_before(2) == pytest.approx(0.1)
         assert sup.delay_before(3) == pytest.approx(0.2)
         assert sup.delay_before(4) == pytest.approx(0.4)
-
-
-class TestSupervisedPool:
-    def test_unfaulted_supervised_matches_plain_parallel(self, events):
-        partition, results = cluster_stream_parallel(
-            events, CONFIG, 3, supervisor=FAST
-        )
-        assert partition == baseline(events)
-        assert [r.attempts for r in results] == [1, 1, 1]
-
-    def test_crash_is_retried_and_result_is_unaffected(self, events):
-        partition, results = cluster_stream_parallel(
-            events, CONFIG, 3, fault=CrashShard(shard=1, fail_attempts=1),
-            supervisor=FAST,
-        )
-        assert partition == baseline(events)
-        assert results[1].attempts == 2 and not results[1].failed
-        assert results[0].attempts == 1 and results[2].attempts == 1
-
-    def test_hard_crash_is_detected_and_retried(self, events):
-        """os._exit leaves no exception and no queue entry; the supervisor
-        must notice the dead process and reschedule."""
-        partition, results = cluster_stream_parallel(
-            events, CONFIG, 3,
-            fault=CrashShard(shard=0, fail_attempts=1, hard=True),
-            supervisor=FAST,
-        )
-        assert partition == baseline(events)
-        assert results[0].attempts == 2 and not results[0].failed
-
-    def test_hang_is_terminated_and_retried(self, events):
-        start = time.monotonic()
-        partition, results = cluster_stream_parallel(
-            events, CONFIG, 3,
-            fault=HangShard(shard=2, seconds=30.0, fail_attempts=1),
-            supervisor=SupervisorConfig(timeout=0.5, max_attempts=2, backoff=0.01),
-        )
-        elapsed = time.monotonic() - start
-        assert elapsed < 15.0  # nowhere near the 30s hang
-        assert partition == baseline(events)
-        assert results[2].attempts == 2 and not results[2].failed
-        assert "timeout" not in (results[2].error or "")
-
-    def test_permanent_failure_degrades_gracefully(self, events):
-        with pytest.warns(RuntimeWarning, match="shard 1 failed permanently"):
-            partition, results = cluster_stream_parallel(
-                events, CONFIG, 3,
-                fault=CrashShard(shard=1, fail_attempts=99),
-                supervisor=SupervisorConfig(timeout=20.0, max_attempts=2,
-                                            backoff=0.01),
-            )
-        tombstone = results[1]
-        assert tombstone.failed and tombstone.attempts == 2
-        assert tombstone.sampled_edges == [] and "SimulatedCrash" in tombstone.error
-        # The other shards still contribute a usable partition.
-        assert results[0].attempts == 1 and results[2].attempts == 1
-        assert partition.num_vertices > 0
-        # Losing shard 1's sample can only remove merges: the degraded
-        # partition is strictly more fragmented (deterministic seeds).
-        assert partition.num_clusters > baseline(events).num_clusters
-
-    def test_failed_shard_vertices_absent_from_merge(self, events):
-        with pytest.warns(RuntimeWarning):
-            partition, results = cluster_stream_parallel(
-                events, CONFIG, 3,
-                fault=CrashShard(shard=0, fail_attempts=99),
-                supervisor=SupervisorConfig(timeout=20.0, max_attempts=1),
-            )
-        _, healthy = cluster_stream_parallel(events, CONFIG, 3)
-        surviving = set(partition.vertices())
-        for result in healthy:
-            if result.shard == 0:
-                continue
-            assert surviving >= set(result.vertices)
-
-
-class TestSupervisedInline:
-    def test_crash_is_retried_inline(self, events):
-        partition, results = cluster_stream_parallel(
-            events, CONFIG, 3, pool_processes=1,
-            fault=CrashShard(shard=1, fail_attempts=1), supervisor=FAST,
-        )
-        assert partition == baseline(events)
-        assert results[1].attempts == 2 and not results[1].failed
-
-    def test_permanent_failure_degrades_inline(self, events):
-        with pytest.warns(RuntimeWarning, match="failed permanently"):
-            _, results = cluster_stream_parallel(
-                events, CONFIG, 3, pool_processes=1,
-                fault=CrashShard(shard=2, fail_attempts=99),
-                supervisor=SupervisorConfig(max_attempts=2, backoff=0.0),
-            )
-        assert results[2].failed and results[2].attempts == 2
-
-    def test_fault_implies_supervision(self, events):
-        # No explicit SupervisorConfig: passing a fault turns it on.
-        partition, results = cluster_stream_parallel(
-            events, CONFIG, 3, pool_processes=1,
-            fault=CrashShard(shard=0, fail_attempts=1),
-        )
-        assert partition == baseline(events)
-        assert results[0].attempts == 2
 
 
 class TestStableSharding:
