@@ -21,7 +21,10 @@ baselines and 1–2 above practical K; this is the paper's headline gap.
 On top of the per-event headline row, the batch-size sweep measures the
 batched ingestion fast path (``apply_many`` over raw event tuples) at
 batch sizes 1, 64, 1024, and 8192 and asserts it delivers at least 3×
-the per-event throughput at batch >= 1024. Run with ``--profile -s`` to
+the per-event throughput at batch >= 1024. At batch 1024 a
+``numpy+reads`` row also times a ``cluster_members`` read after every
+batch, which brings the numpy kernel's component labels up to date
+with the sample each time (no floor). Run with ``--profile -s`` to
 cProfile the batched hot loop (top-20 by cumulative time).
 """
 
@@ -37,6 +40,7 @@ from repro.graph import AdjacencyGraph
 PREFIX = 20000  # events given to the periodic baselines
 BATCH_SIZES = (1, 64, 1024, 8192)
 KERNELS = ("scalar", "numpy")
+READS_BATCH = 1024  # the batch size of the numpy+reads row
 BATCH_SPEEDUP_FLOOR = 3.0  # required at batch >= 1024
 KERNEL_SPEEDUP_FLOOR = 3.0  # numpy vs scalar kernel at batch 8192
 
@@ -77,18 +81,26 @@ def test_e4_throughput(benchmark, profile_requested):
     # back to back in alternating order (paired A/B), so machine drift
     # lands on both sides and the reported ratio is honest.
     raw_events = [(event.kind, event.u, event.v) for event in events]
+    probe = raw_events[0][1]
 
     def make_batched(kernel, batch_size):
+        reads = kernel == "numpy+reads"
+
         def ingest_batched():
             batched = StreamingGraphClusterer(
                 ClustererConfig(
                     reservoir_capacity=max(1, capacity),
                     strict=False,
                     seed=2,
-                    kernel=kernel,
+                    kernel="numpy" if reads else kernel,
                 )
             )
-            batched.process(raw_events, batch_size=batch_size)
+            if not reads:
+                batched.process(raw_events, batch_size=batch_size)
+                return batched
+            for start in range(0, len(raw_events), batch_size):
+                batched.apply_many(raw_events[start : start + batch_size])
+                batched.cluster_members(probe)
             return batched
 
         return ingest_batched
@@ -97,13 +109,14 @@ def test_e4_throughput(benchmark, profile_requested):
     make_batched("numpy", 1024)()
     batched_tp = {}
     for batch_size in BATCH_SIZES:
-        runs = {k: make_batched(k, batch_size) for k in KERNELS}
-        best = {k: float("inf") for k in KERNELS}
+        kernels = KERNELS + (("numpy+reads",) if batch_size == READS_BATCH else ())
+        runs = {k: make_batched(k, batch_size) for k in kernels}
+        best = {k: float("inf") for k in kernels}
         for rep in range(3):
-            order = KERNELS if rep % 2 == 0 else KERNELS[::-1]
+            order = kernels if rep % 2 == 0 else kernels[::-1]
             for kernel in order:
                 best[kernel] = min(best[kernel], timed(runs[kernel])[1])
-        for kernel in KERNELS:
+        for kernel in kernels:
             batched_tp[kernel, batch_size] = len(events) / best[kernel]
             result.add_row(
                 algorithm=(

@@ -18,9 +18,10 @@ that always expands the smaller frontier: it stops as soon as the
 frontiers meet (no split), or when one side runs out, and that side is
 exactly the vertex set that takes a fresh id. The search has no budget:
 giving up early could only fall back to a full rebuild, which never
-costs less than finishing the search. Structures whose labels went
-stale (``dirty``) are rebuilt from the sampled edges in one pass by
-:meth:`ComponentLabels.rebuild`.
+costs less than finishing the search. :meth:`ComponentLabels.rebuild`
+recomputes everything from the sampled edges in one pass, for a caller
+whose labels fell too far behind the sample to catch up edge by edge
+(the numpy batch kernel, which alone knows when they are behind).
 
 The class implements :class:`~repro.connectivity.base.DynamicConnectivity`,
 so constraint policies query it directly and it serves as the oracle
@@ -56,9 +57,6 @@ class ComponentLabels(DynamicConnectivity):
         self.size: Dict[int, int] = {}
         self.universe: Dict[Vertex, None] = {}
         self.next_id = 0
-        #: Set by writers that change the sample without maintaining the
-        #: labels (the numpy batch kernel); cleared by :meth:`rebuild`.
-        self.dirty = False
 
     # ------------------------------------------------------------------
     # Unchecked core: the caller guarantees the edge is absent (link) or
@@ -211,7 +209,6 @@ class ComponentLabels(DynamicConnectivity):
             size[cid] = len(members)
             cid += 1
         self.next_id = cid
-        self.dirty = False
 
     # ------------------------------------------------------------------
     # DynamicConnectivity interface

@@ -25,26 +25,35 @@ phases. A batch of edge events is handled like this:
 5. **Pack + sample** — ``(min_id << 32) | max_id`` keys feed
    :meth:`NumpyPackedEdgeReservoir.insert_many`, which draws the whole
    steady-state accept/evict run from a PCG64 generator in two
-   vectorized calls. A run that admitted anything leaves the component
-   labels dirty instead of updating them per admission; the next reader
-   (a query, a per-event fallback, a checkpoint) rebuilds them from the
-   reservoir slots in one pass.
+   vectorized calls. The component labels are not updated per
+   admission: the run's admissions and evictions go into the kernel's
+   sample-change log instead (below).
 6. **Delete in place** — a deletion does what the per-event path does
    (tracked-graph removal with the same strict/malformed handling,
    ``reservoir.delete``, which is random-pairing counter arithmetic with
-   no random draw), except that a sampled edge leaving the sample marks
-   the labels dirty instead of cutting them. No resync, no rebuild.
+   no random draw), except that a sampled edge leaving the sample goes
+   into the log instead of being cut. No resync, no rebuild.
+
+The log holds the net change of the sample since the labels were last
+brought up to date: ``fresh`` keys are sampled but not linked, ``stale``
+keys are linked but no longer sampled. The next reader (a query, a
+per-event fallback) calls :meth:`NumpyBatchKernel.sync`, which cuts the
+stale keys and links the fresh ones, O(changed keys) instead of
+O(sample). A log that grows past a quarter of the sample is dropped,
+and that read rebuilds the labels from the reservoir slots in one pass.
 
 ``ADD_VERTEX`` events register in place too. ``DELETE_VERTEX`` is the
 only event that falls back to the per-event path
 (``kernel_fallback_events``), because it needs current adjacency; the
-fallback first rebuilds dirty labels (:meth:`NumpyBatchKernel.sync`).
+fallback first brings the labels up to date through ``sync``.
 
 Statistics
 ----------
 The kernel keeps no merge/split estimate: ``component_merges`` and
 ``component_splits`` count only events applied on the per-event path
 (vertex deletions here; every event of a constrained configuration).
+A net diff cannot attribute merges or splits to events, so the links
+and cuts of a catch-up are not counted either.
 Every other counter (events, admissions, evictions, sample deletions,
 malformed, ...) is exact. An estimate folded in at read time would make
 the counters, and the checkpoint bytes, depend on when they were read.
@@ -61,7 +70,7 @@ like the per-event path.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,6 +88,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["NumpyBatchKernel"]
 
 _U32 = np.uint64(32)
+_MASK32 = 0xFFFFFFFF
+
+#: The sample-change log is dropped once it holds more than
+#: ``len(sample) // _LOG_SHARE`` keys (a quarter of the sample); the
+#: next read then rebuilds the labels in one pass. Replaying a key (a
+#: cut's search, a link's relabel) costs more than a rebuild spends on
+#: one sampled edge, so a large diff replays slower than a rebuild: on
+#: E6's drifting stream (dense communities, every edge sampled)
+#: with a read after every batch, on a 2-vCPU VM, replaying diffs up to
+#: the whole sample ran 1.37x slower than this bound, which is at
+#: parity with rebuilding at every read (docs/performance.md). Dropping
+#: also stops the logging until the next read, so bulk ingest without
+#: reads logs at most a quarter of a sample's worth of changes.
+_LOG_SHARE = 4
 
 _GET_KIND = itemgetter(0)
 _GET_U = itemgetter(1)
@@ -104,11 +127,19 @@ class NumpyBatchKernel:
     Everything it touches is the clusterer's own state — reservoir,
     interner, tracked graph, component labels — so per-event processing
     (vertex deletions, ``apply``) can interleave freely: :meth:`sync`
-    rebuilds the component labels a kernel run left dirty before any
+    brings the component labels up to date with the sample before any
     scalar code reads them.
     """
 
-    __slots__ = ("_c", "_registered", "_reg_epoch", "_label_map")
+    __slots__ = (
+        "_c",
+        "_registered",
+        "_reg_epoch",
+        "_label_map",
+        "_fresh",
+        "_stale",
+        "_overflow",
+    )
 
     #: Dense label→id cache ceiling: int labels in [0, 2**22) gather their
     #: ids straight out of a numpy array instead of the interner's dict
@@ -120,13 +151,91 @@ class NumpyBatchKernel:
         self._registered = np.zeros(256, dtype=bool)
         self._reg_epoch = -1  # force a rebuild on first use
         self._label_map = np.full(256, -1, dtype=np.int64)
+        # The sample-change log (module docstring), insertion-ordered
+        # dicts of packed keys: sampled but not linked, linked but no
+        # longer sampled. ``_overflow`` means the log was dropped.
+        self._fresh: Dict[int, None] = {}
+        self._stale: Dict[int, None] = {}
+        self._overflow = False
 
     # ------------------------------------------------------------------
     # Reconciliation with the per-event path
     # ------------------------------------------------------------------
     def sync(self) -> None:
-        """Rebuild dirty component labels (cheap when they are current)."""
-        self._c._settled()
+        """Bring the component labels up to date with the sample.
+
+        Nothing logged: returns at once. Log dropped: rebuilds the labels
+        from the reservoir in one pass. Otherwise cuts every stale key,
+        then links every fresh one.
+        """
+        if self._overflow:
+            self._overflow = False
+            c = self._c
+            c._components.rebuild(
+                (key >> 32, key & _MASK32) for key in c._reservoir
+            )
+            return
+        fresh = self._fresh
+        stale = self._stale
+        if not (fresh or stale):
+            return
+        components = self._c._components
+        cut = components.cut
+        for key in stale:
+            cut(key >> 32, key & _MASK32)
+        link = components.link
+        for key in fresh:
+            link(key >> 32, key & _MASK32)
+        fresh.clear()
+        stale.clear()
+
+    def _log_run(self, admitted: List[int], evicted: List[int]) -> None:
+        """Log one run's ``insert_many`` outcome in event order: first the
+        fill or pairing admissions, which evicted nothing, then each
+        eviction before the admission that displaced it.
+
+        An admission moves its key out of ``stale``, or else into
+        ``fresh``; an eviction out of ``fresh``, or else into ``stale``.
+        Order matters: in lean mode a key can leave, come back and leave
+        again within one run.
+        """
+        if self._overflow:
+            return
+        fresh = self._fresh
+        stale = self._stale
+        fills = len(admitted) - len(evicted)
+        for key in admitted[:fills]:
+            if key in stale:
+                del stale[key]
+            else:
+                fresh[key] = None
+        for old, key in zip(evicted, admitted[fills:]):
+            if old in fresh:
+                del fresh[old]
+            else:
+                stale[old] = None
+            if key in stale:
+                del stale[key]
+            else:
+                fresh[key] = None
+        self._bound_log()
+
+    def _log_removal(self, key: int) -> None:
+        """Log a sampled key leaving the sample without a replacement."""
+        if self._overflow:
+            return
+        if key in self._fresh:
+            del self._fresh[key]
+        else:
+            self._stale[key] = None
+            self._bound_log()
+
+    def _bound_log(self) -> None:
+        """Drop the log once replaying it would cost more than a rebuild."""
+        if (len(self._fresh) + len(self._stale)) * _LOG_SHARE > len(self._c._reservoir):
+            self._fresh.clear()
+            self._stale.clear()
+            self._overflow = True
 
     def settle_stats(self) -> None:
         """Does nothing: the kernel keeps no pending statistics.
@@ -432,8 +541,7 @@ class NumpyBatchKernel:
         """One ``DELETE_EDGE`` of interned ids, applied in place.
 
         The per-event path's steps and errors, except that a sampled
-        edge leaving the sample marks the labels dirty instead of
-        cutting them.
+        edge leaving the sample is logged instead of cut.
         """
         c = self._c
         stats = c.stats
@@ -447,9 +555,10 @@ class NumpyBatchKernel:
                 f"DELETE_EDGE of absent edge ({label_of(uid)!r}, {label_of(vid)!r})"
             )
             return
-        if c._reservoir.delete((uid << 32) | vid if uid < vid else (vid << 32) | uid):
+        key = (uid << 32) | vid if uid < vid else (vid << 32) | uid
+        if c._reservoir.delete(key):
             stats.sample_deletions += 1
-            c._components.dirty = True
+            self._log_removal(key)
             c._invalidate()
 
     def _apply_vertex_event(self, kind, u, v) -> None:
@@ -517,7 +626,7 @@ class NumpyBatchKernel:
             if admitted:
                 stats.admissions += len(admitted)
                 structural = True
-                c._components.dirty = True
+                self._log_run(admitted, evicted)
             if evicted:
                 stats.evictions += len(evicted)
             if structural:

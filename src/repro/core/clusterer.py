@@ -133,8 +133,10 @@ class StreamingGraphClusterer:
     def __init__(self, config: ClustererConfig) -> None:
         self.config = config = normalize_config(config)
         # The vectorized batch kernel (bound below for kernel="numpy")
-        # rebuilds the labels it left dirty through the ``apply`` sync
-        # hook; scalar configurations never pay more than this None check.
+        # logs the sample changes it did not apply to the labels and
+        # replays them through its ``sync`` hook, called by ``apply`` and
+        # every reader; scalar configurations never pay more than this
+        # None check.
         self._kernel = None
         #: Work counters (see the statistics contract in
         #: docs/performance.md).
@@ -148,8 +150,9 @@ class StreamingGraphClusterer:
             child_seed(config.seed, "reservoir")
         )
         # Sampled adjacency, component labels and the vertex universe,
-        # all by id. Only the numpy kernel leaves the labels dirty (a
-        # restore rebuilds them at once); readers go through `_settled()`.
+        # all by id. Only the numpy kernel lets the labels fall behind
+        # the sample (a restore rebuilds them at once); readers go
+        # through `_settled()`.
         self._components = ComponentLabels()
         self._graph: Optional[AdjacencyGraph] = (
             AdjacencyGraph(interner=self._intern) if config.track_graph else None
@@ -594,14 +597,11 @@ class StreamingGraphClusterer:
         return barrier
 
     def _settled(self) -> ComponentLabels:
-        """The component labels, rebuilt from the reservoir in one pass
-        if the numpy kernel left them dirty."""
-        components = self._components
-        if components.dirty:
-            components.rebuild(
-                (key >> 32, key & _MASK32) for key in self._reservoir
-            )
-        return components
+        """The component labels, first brought up to date with the
+        sample by the numpy kernel (:meth:`NumpyBatchKernel.sync`)."""
+        if self._kernel is not None:
+            self._kernel.sync()
+        return self._components
 
     def _invalidate(self) -> None:
         self._partition_cache = None
@@ -873,8 +873,9 @@ class StreamingGraphClusterer:
                 )
             components.add_vertex(vid)
         # Rebuild the labels from the restored reservoir in one pass.
-        components.dirty = True
-        clusterer._settled()
+        components.rebuild(
+            (key >> 32, key & _MASK32) for key in clusterer._reservoir
+        )
         clusterer._vertex_epoch += 1
         clusterer._rebuild_rng = make_rng(0)
         clusterer._rebuild_rng.setstate(state["rebuild_rng_state"])

@@ -413,7 +413,7 @@ class TenantSession:
             # (no finite upper bound on the grid); JSON has no Infinity.
             "p99_ingest_seconds": p99 if p99 != float("inf") else None,
             "mean_ingest_seconds": self._ingest_hist.mean,
-            "clusters": self.clusterer.snapshot().num_clusters,
+            "clusters": self.clusterer.num_clusters,
         }
         if isinstance(self.clusterer, StreamingGraphClusterer):
             info["reservoir_size"] = self.clusterer.reservoir_size

@@ -357,6 +357,24 @@ class TestServiceSemantics:
                 )
                 assert metrics["reservoir_size"] == clusterer.reservoir_size
 
+    def test_metrics_builds_no_partition(self):
+        config = _config(reservoir_capacity=100)
+        events = _events()
+        half = len(events) // 2
+        clusterer, _ = _inline_snapshot(config, events)
+
+        service = ClusterService(config)
+        with _RunningService(service) as running:
+            with ServiceClient(running.endpoint, tenant="m") as client:
+                client.send_events(events[:half])
+                client.metrics()
+                tenant = service.tenants["m"].clusterer
+                builds = tenant.partition_builds
+                client.send_events(events[half:])
+                metrics = client.metrics()
+                assert tenant.partition_builds == builds
+                assert metrics["clusters"] == clusterer.snapshot().num_clusters > 1
+
     def test_stalled_tenant_does_not_degrade_others(self):
         # Tenant drains are slowed and queues are shallow: "slow" fills
         # its queue and is backpressured while "fast" still completes

@@ -421,12 +421,17 @@ class TestNumpyPersistence:
     def test_reading_stats_keeps_state_bytes(self):
         events = _mixed_events(6000, 400, seed=43, delete_rate=0.0)
         quiet = self._insert_only_run(events, lambda c: None)
-        reads = []
-        eager = self._insert_only_run(
-            events, lambda c: reads.append(c.stats.component_splits)
-        )
-        assert len(reads) == 12
-        assert pickle.dumps(eager.get_state()) == pickle.dumps(quiet.get_state())
+        probe = events[0][1]
+        # Reading the stats, or the clusters (which catches the labels
+        # up with the sample), after every batch.
+        for read in (
+            lambda c: c.stats.component_splits,
+            lambda c: c.cluster_members(probe),
+        ):
+            reads = []
+            eager = self._insert_only_run(events, lambda c: reads.append(read(c)))
+            assert len(reads) == 12
+            assert pickle.dumps(eager.get_state()) == pickle.dumps(quiet.get_state())
 
     def test_checkpoint_file_roundtrip_byte_identical(self, tmp_path):
         from repro.persist.checkpoint import load_checkpoint, save_checkpoint
@@ -605,6 +610,97 @@ class TestKernelDeletions:
         else:
             # Batch interning ran ahead of the failing event.
             assert labels[: len(per_event.interner)] == per_event.interner.labels()
+
+
+# ----------------------------------------------------------------------
+# Reads catch the labels up with the sample
+# ----------------------------------------------------------------------
+def _from_scratch(clusterer):
+    """The components of the sample over the vertex set, recomputed."""
+    from repro.connectivity.union_find import UnionFind
+    from repro.quality import Partition
+
+    union = UnionFind(clusterer.vertices())
+    for u, v in clusterer.reservoir_edges():
+        union.union(u, v)
+    return Partition.from_clusters(union.groups())
+
+
+class TestLabelCatchUp:
+    @pytest.fixture
+    def rebuilds(self, monkeypatch):
+        """Counts ``ComponentLabels.rebuild`` calls."""
+        from repro.connectivity.labels import ComponentLabels
+
+        calls = []
+        rebuild = ComponentLabels.rebuild
+
+        def counting(labels, edges):
+            calls.append(None)
+            rebuild(labels, edges)
+
+        monkeypatch.setattr(ComponentLabels, "rebuild", counting)
+        return calls
+
+    def _warm(self, events):
+        """A numpy clusterer whose 200-edge reservoir saw 8192 events,
+        so it admits about one edge in 40 from then on."""
+        clusterer = StreamingGraphClusterer(
+            ClustererConfig(
+                reservoir_capacity=200, seed=67, kernel="numpy", strict=False
+            )
+        )
+        clusterer.apply_many(events[:8192])
+        return clusterer
+
+    def test_rare_changes_are_replayed_not_rebuilt(self, rebuilds):
+        events = _mixed_events(12032, 1000, seed=61, delete_rate=0.1)
+        clusterer = self._warm(events)
+        assert clusterer.reservoir_size == 200
+        probe = events[0][1]
+        clusterer.cluster_members(probe)
+        assert len(rebuilds) == 1  # the warm-up overflowed the log
+        before = clusterer.stats.as_dict()
+        for start in range(8192, len(events), 64):
+            clusterer.apply_many(events[start : start + 64])
+            clusterer.cluster_members(probe)
+        stats = clusterer.stats.as_dict()
+        assert stats["admissions"] - before["admissions"] > 20
+        assert stats["sample_deletions"] > before["sample_deletions"]
+        assert len(rebuilds) == 1
+        assert clusterer.snapshot() == _from_scratch(clusterer)
+
+    def test_change_past_a_quarter_of_the_sample_rebuilds_once(self, rebuilds):
+        events = _mixed_events(8192, 1000, seed=71, delete_rate=0.1)
+        clusterer = self._warm(events)
+        probe = events[0][1]
+        clusterer.cluster_members(probe)
+        assert clusterer.reservoir_size == 200
+        # 60 of the 200 sampled edges leave: the log overflows at the 41st.
+        clusterer.apply_many(
+            [(DEL, u, v) for u, v in clusterer.reservoir_edges()[:60]]
+            + [(ADD, 5000 + i, 5001 + i) for i in range(20)]
+        )
+        assert len(rebuilds) == 1
+        clusterer.cluster_members(probe)
+        assert len(rebuilds) == 2
+        assert clusterer.snapshot() == _from_scratch(clusterer)
+        clusterer.cluster_members(probe)
+        assert len(rebuilds) == 2
+
+    def test_log_follows_event_order(self):
+        """In lean mode a key can leave, come back and leave again in
+        one run. ``k`` joined since the last read; then a run evicts it
+        for ``a``, evicts ``b`` for it, and evicts it again for ``c``."""
+        events = _mixed_events(400, 100, seed=73, delete_rate=0.0)
+        clusterer = self._warm(events)
+        clusterer.snapshot()  # catch up
+        kernel = clusterer._kernel
+        a, b, c, k = 1 << 40, 2 << 40, 3 << 40, 4 << 40
+        kernel._fresh[k] = None
+        kernel._log_run([a, k, c], [k, b, k])
+        assert list(kernel._fresh) == [a, c]
+        assert list(kernel._stale) == [b]
 
 
 # ----------------------------------------------------------------------
