@@ -295,14 +295,14 @@ def _parse(token: str):
 
 
 def _write_labels(partition: Partition, path: Optional[str]) -> None:
-    handle = open(path, "w", encoding="utf-8") if path else sys.stdout
-    try:
-        for index, members in enumerate(partition.clusters()):
-            for vertex in sorted(members, key=repr):
-                handle.write(f"{vertex}\t{index}\n")
-    finally:
-        if path:
-            handle.close()
+    from repro.serve.protocol import render_snapshot
+
+    text = render_snapshot(partition)
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _run_generate(args: argparse.Namespace) -> int:

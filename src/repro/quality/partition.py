@@ -7,7 +7,11 @@ assignment of vertices to cluster labels with convenient views.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Set
+from collections import Counter
+from itertools import count
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.streams.events import Vertex
 
@@ -28,20 +32,14 @@ class Partition:
     True
     """
 
-    __slots__ = ("_label", "_clusters", "_sizes", "_ordered")
+    __slots__ = ("_label", "_clusters", "_order")
 
     def __init__(self, labels: Mapping[Vertex, object]) -> None:
         self._label: Dict[Vertex, object] = dict(labels)
-        clusters: Dict[object, Set[Vertex]] = {}
-        for vertex, label in self._label.items():
-            clusters.setdefault(label, set()).add(vertex)
-        self._clusters: Dict[object, FrozenSet[Vertex]] = {
-            label: frozenset(members) for label, members in clusters.items()
-        }
-        self._sizes: Dict[object, int] = {
-            label: len(members) for label, members in self._clusters.items()
-        }
-        self._ordered: List[FrozenSet[Vertex]] | None = None
+        # Both views below are derived on first use and kept: the
+        # partition is immutable.
+        self._clusters: Optional[Dict[object, FrozenSet[Vertex]]] = None
+        self._order: Optional[Tuple[Tuple[Vertex, ...], Tuple[int, ...]]] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -82,21 +80,65 @@ class Partition:
 
     def members(self, label: object) -> FrozenSet[Vertex]:
         """Vertices carrying ``label``."""
-        return self._clusters[label]
+        return self._groups()[label]
+
+    def canonical_order(self) -> Tuple[Tuple[Vertex, ...], Tuple[int, ...]]:
+        """Every vertex in canonical order, and the cluster sizes in it.
+
+        The canonical order lists clusters by decreasing size, breaks a
+        size tie by the cluster's smallest member ``repr``, and lists
+        each cluster's members by ``repr``. Cluster ``i`` is the run of
+        ``sizes[i]`` vertices after the first ``sum(sizes[:i])``.
+
+        The order assumes that distinct vertices have distinct ``repr``
+        strings, as ints, strs and tuples of them do. Clusters are
+        disjoint, so under that assumption two equal-size clusters'
+        sorted ``repr`` lists already differ in their first elements,
+        and the order is the same as sorting the clusters by
+        ``(-size, sorted member reprs)``.
+
+        One pass computes it: a stable sort of the vertices by ``repr``,
+        then numpy on int cluster numbers: each cluster's size and the
+        rank of its smallest member, a sort of the clusters by both, and
+        a stable sort of the ranked vertices by their cluster's place.
+        It is memoized; both tuples are shared by every call.
+        """
+        if self._order is None:
+            vertices = list(self._label)
+            values = self._label.values()
+            reprs = list(map(repr, vertices))
+            # A Python sort: a numpy unicode array of the reprs would be
+            # V times the longest repr wide, so one long label could
+            # blow it up.
+            ranked = np.array(sorted(range(len(vertices)), key=reprs.__getitem__), dtype=np.intp)
+            numbers = dict(zip(dict.fromkeys(values), count()))
+            cluster = np.fromiter(
+                map(numbers.__getitem__, values), dtype=np.intp, count=len(vertices)
+            )[ranked]
+            # Cluster numbers are 0..k-1, so the unique values index both.
+            _, first, counts = np.unique(cluster, return_index=True, return_counts=True)
+            by_size = np.lexsort((first, -counts))
+            place = np.empty_like(by_size)
+            place[by_size] = np.arange(len(by_size))
+            lines = ranked[np.argsort(place[cluster], kind="stable")]
+            self._order = (
+                tuple(map(vertices.__getitem__, lines.tolist())),
+                tuple(counts[by_size].tolist()),
+            )
+        return self._order
 
     def clusters(self) -> List[FrozenSet[Vertex]]:
-        """All clusters, largest first (ties broken deterministically).
+        """All clusters in canonical order: by decreasing size, a size
+        tie broken by the smallest member ``repr``
+        (:meth:`canonical_order` states the assumption this rests on).
 
-        The ordering is memoized — the partition is immutable and both
-        metrics and output writers call this repeatedly; a fresh list is
-        returned each time so callers may mutate it.
+        A fresh list is returned each time so callers may mutate it.
         """
-        if self._ordered is None:
-            self._ordered = sorted(
-                self._clusters.values(),
-                key=lambda members: (-len(members), sorted(map(repr, members))),
-            )
-        return list(self._ordered)
+        groups = self._groups()
+        # Clusters are contiguous in the order, so their labels, deduped,
+        # come out in cluster order.
+        ordered = dict.fromkeys(map(self._label.__getitem__, self.canonical_order()[0]))
+        return [groups[label] for label in ordered]
 
     def labels(self) -> Dict[Vertex, object]:
         """Vertex → label mapping (copy)."""
@@ -104,12 +146,12 @@ class Partition:
 
     def sizes(self) -> List[int]:
         """Cluster sizes, descending."""
-        return sorted(self._sizes.values(), reverse=True)
+        return list(self.canonical_order()[1])
 
     @property
     def num_clusters(self) -> int:
         """Number of clusters."""
-        return len(self._clusters)
+        return len(self.canonical_order()[1])
 
     @property
     def num_vertices(self) -> int:
@@ -119,7 +161,8 @@ class Partition:
     @property
     def max_cluster_size(self) -> int:
         """Size of the largest cluster (0 for an empty partition)."""
-        return max(self._sizes.values(), default=0)
+        sizes = self.canonical_order()[1]
+        return sizes[0] if sizes else 0
 
     def vertices(self) -> Iterator[Vertex]:
         """Iterate covered vertices."""
@@ -144,19 +187,27 @@ class Partition:
 
     def cluster_sets(self) -> FrozenSet[FrozenSet[Vertex]]:
         """The partition as a frozen set of frozen vertex sets."""
-        return frozenset(self._clusters.values())
+        return frozenset(self._groups().values())
+
+    def _groups(self) -> Dict[object, FrozenSet[Vertex]]:
+        """Label → members, built on first use."""
+        if self._clusters is None:
+            groups: Dict[object, List[Vertex]] = {}
+            for vertex, label in self._label.items():
+                groups.setdefault(label, []).append(vertex)
+            self._clusters = {
+                label: frozenset(members) for label, members in groups.items()
+            }
+        return self._clusters
 
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
     def normalized(self) -> "Partition":
-        """Relabel clusters 0..k-1 by decreasing size (deterministic)."""
-        ordered = self.clusters()
-        labels: Dict[Vertex, object] = {}
-        for index, members in enumerate(ordered):
-            for vertex in members:
-                labels[vertex] = index
-        return Partition(labels)
+        """Relabel clusters 0..k-1 in canonical order (see :meth:`clusters`)."""
+        vertices, sizes = self.canonical_order()
+        indices = np.repeat(np.arange(len(sizes)), sizes).tolist()
+        return Partition(dict(zip(vertices, indices)))
 
     def restricted_to(self, vertices: Iterable[Vertex]) -> "Partition":
         """The partition induced on ``vertices`` (unknown ones ignored)."""
@@ -169,12 +220,13 @@ class Partition:
         Useful when comparing against baselines that do not emit
         singleton clusters.
         """
-        labels: Dict[Vertex, object] = {}
-        for label, members in self._clusters.items():
-            target = label if len(members) >= min_size else into_label
-            for vertex in members:
-                labels[vertex] = target
-        return Partition(labels)
+        sizes = Counter(self._label.values())
+        return Partition(
+            {
+                vertex: label if sizes[label] >= min_size else into_label
+                for vertex, label in self._label.items()
+            }
+        )
 
     def __repr__(self) -> str:
         return (

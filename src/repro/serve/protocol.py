@@ -43,6 +43,8 @@ import asyncio
 import socket
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.errors import ProtocolError
 from repro.quality.partition import Partition
 from repro.streams.codec import (
@@ -203,16 +205,23 @@ def recv_message(
 def render_snapshot(partition: Partition) -> str:
     """Deterministic ``vertex<TAB>cluster`` rendering of a partition.
 
-    Byte-identical to what ``repro cluster`` writes for the same
-    partition (same cluster enumeration, same ``repr``-sorted members),
-    so a served snapshot can be diffed against an inline run's labels
-    file directly.
+    One line per vertex, in the partition's canonical order
+    (:meth:`~repro.quality.Partition.canonical_order`): clusters by
+    decreasing size, a size tie broken by the smallest member ``repr``,
+    members by ``repr``; the cluster field counts clusters from 0 in
+    that order. ``repro cluster`` writes its label files with this
+    function, so a served snapshot can be diffed against an inline
+    run's labels file directly.
     """
-    lines: List[str] = []
-    for index, members in enumerate(partition.clusters()):
-        for vertex in sorted(members, key=repr):
-            lines.append(f"{vertex}\t{index}\n")
-    return "".join(lines)
+    vertices, sizes = partition.canonical_order()
+    # Vertex strings in the even slots and their cluster's "\t{index}\n"
+    # in the odd ones, formatted once per cluster: one join, no
+    # per-line formatting.
+    suffixes = np.array([f"\t{index}\n" for index in range(len(sizes))], dtype=object)
+    parts = [""] * (2 * len(vertices))
+    parts[0::2] = map(format, vertices)
+    parts[1::2] = np.repeat(suffixes, sizes).tolist()
+    return "".join(parts)
 
 
 def render_membership(members) -> str:

@@ -1,8 +1,11 @@
 """Unit tests for the Partition type."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.quality import Partition
+from repro.serve.protocol import render_snapshot
 
 
 class TestConstruction:
@@ -88,3 +91,81 @@ class TestTransformations:
 
     def test_repr(self):
         assert "num_clusters=1" in repr(Partition({1: 0}))
+
+
+# ---------------------------------------------------------------------------
+# Canonical order against its direct definition
+# ---------------------------------------------------------------------------
+def _reference_clusters(partition):
+    """The canonical cluster order by definition: whole clusters sorted
+    by decreasing size, then by their members' sorted ``repr`` lists.
+    ``Partition`` computes the same order in one vectorized pass."""
+    groups = {}
+    for vertex, label in partition.labels().items():
+        groups.setdefault(label, set()).add(vertex)
+    return sorted(
+        (frozenset(members) for members in groups.values()),
+        key=lambda members: (-len(members), sorted(map(repr, members))),
+    )
+
+
+def _reference_render(partition):
+    return "".join(
+        f"{vertex}\t{index}\n"
+        for index, members in enumerate(_reference_clusters(partition))
+        for vertex in sorted(members, key=repr)
+    )
+
+
+_texts = st.text(st.sampled_from(list("ab'\"\\\t\n é€漢😀")), max_size=4)
+_ints = st.integers(-30, 300)
+_tuples = st.tuples(st.integers(-3, 12), _texts)
+_label_values = st.one_of(st.integers(0, 5), st.sampled_from(["a", "b", "_rest"]), st.none())
+
+
+@st.composite
+def _partitions(draw):
+    vertex = draw(st.sampled_from([_ints, _texts, _tuples, st.one_of(_ints, _texts, _tuples)]))
+    vertices = draw(st.lists(vertex, unique=True, max_size=40))
+    if draw(st.booleans()):
+        return Partition.singletons(vertices)
+    values = draw(st.lists(_label_values, min_size=len(vertices), max_size=len(vertices)))
+    return Partition(dict(zip(vertices, values)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(partition=_partitions())
+@example(partition=Partition({}))
+def test_canonical_order_matches_reference(partition):
+    clusters = _reference_clusters(partition)
+    assert render_snapshot(partition) == _reference_render(partition)
+    assert partition.clusters() == clusters
+    assert partition.sizes() == sorted(map(len, clusters), reverse=True)
+    assert partition.num_clusters == len(clusters)
+    assert partition.max_cluster_size == max(map(len, clusters), default=0)
+    assert partition.normalized().labels() == {
+        vertex: index for index, members in enumerate(clusters) for vertex in members
+    }
+
+
+def test_render_golden_size_ties():
+    # Three size-2 clusters tie; their smallest member reprs are "a'"
+    # (double-quoted), "10" and "30", so repr order puts the str
+    # cluster first, where str order would put it after "10". Members
+    # sort by repr too: "10" before "2", "30" before "9".
+    partition = Partition({
+        10: "x", 2: "x",
+        "b": "y", "a'": "y",
+        9: 8, 30: 8,
+        (1, "z"): None,
+        -3: 7,
+        11: 0, 1: 0, 100: 0,
+    })
+    assert render_snapshot(partition) == (
+        "1\t0\n100\t0\n11\t0\n"
+        "a'\t1\nb\t1\n"
+        "10\t2\n2\t2\n"
+        "30\t3\n9\t3\n"
+        "(1, 'z')\t4\n"
+        "-3\t5\n"
+    )
