@@ -1,34 +1,27 @@
 """E9 — ablations of the design choices DESIGN.md calls out.
 
-(a) **Deletion handling in the reservoir.** Random pairing (the paper's
-    building block: uniform under deletions, no graph access) vs.
-    resample-from-graph (rebuilds the sample on underflow — restores
-    size instantly but costs O(m) per rebuild and needs the full edge
-    set in memory). Measured on a sliding-window stream where every
-    arrival eventually becomes a deletion.
+(a) **Deletion handling in the reservoir** (retired). Random pairing vs.
+    resample-from-graph; the comparison and the resample policy are
+    gone, and EXPERIMENTS.md quotes the last table.
 
 (b) **Dynamic connectivity.** HDT (amortized O(log² n)) vs. the
     clusterer's component labels (O(component) per split search), both
     driven directly with the same op sequences: the sample mutations of
-    the (a) window stream, and an adversarial cycle.
+    a sliding-window stream where every arrival eventually becomes a
+    deletion, and an adversarial cycle.
 
-Expected shapes: random pairing sustains higher throughput than
-periodic resampling at comparable quality; the labels' small constants
-win on small components while HDT wins on the cycle (constants in pure
-Python are visible — the asymptotic gap is the point).
+Expected shape: the labels' small constants win on small components
+while HDT wins on the cycle (constants in pure Python are visible — the
+asymptotic gap is the point).
 """
 
 import time
 from typing import Dict, List, Tuple
 
 from bench_common import finish
-from repro.bench import ExperimentResult, measure_throughput
+from repro.bench import ExperimentResult
 from repro.connectivity import ComponentLabels, HDTConnectivity
-from repro.core import (
-    ClustererConfig,
-    DeletionPolicy,
-    SlidingWindowClusterer,
-)
+from repro.core import ClustererConfig, SlidingWindowClusterer
 from repro.streams import insert_only_stream, planted_partition
 
 
@@ -38,54 +31,6 @@ def _window_workload():
     events = insert_only_stream(graph.edges, seed=91)
     more = insert_only_stream(graph.edges, seed=92)
     return events + more
-
-
-def test_e9a_deletion_policy(benchmark):
-    events = _window_workload()
-
-    def run(policy, threshold=0.5):
-        window = SlidingWindowClusterer(
-            ClustererConfig(
-                reservoir_capacity=1500,
-                deletion_policy=policy,
-                resample_threshold=threshold,
-                strict=False,
-                seed=7,
-            ),
-            window=5000,
-        )
-        return window, measure_throughput(window, events)
-
-    benchmark.pedantic(
-        lambda: run(DeletionPolicy.RANDOM_PAIRING), rounds=3, iterations=1
-    )
-
-    result = ExperimentResult(
-        "e9a_deletion_policy",
-        "reservoir deletion handling on a sliding-window stream",
-    )
-    for label, policy, threshold in [
-        ("random pairing (paper)", DeletionPolicy.RANDOM_PAIRING, 0.5),
-        ("resample on underflow (50%)", DeletionPolicy.RESAMPLE, 0.5),
-        ("resample on underflow (90%)", DeletionPolicy.RESAMPLE, 0.9),
-    ]:
-        window, outcome = run(policy, threshold)
-        result.add_row(
-            policy=label,
-            events_per_sec=round(outcome.events_per_second),
-            us_per_event=round(outcome.microseconds_per_event, 1),
-            resamples=window.inner.stats.resamples,
-            final_sample=window.inner.reservoir_size,
-            clusters=window.num_clusters,
-        )
-    finish(result)
-
-    rows = {row["policy"]: row for row in result.rows}
-    pairing = rows["random pairing (paper)"]
-    aggressive = rows["resample on underflow (90%)"]
-    assert pairing["resamples"] == 0
-    assert aggressive["resamples"] >= 1
-    assert pairing["events_per_sec"] > aggressive["events_per_sec"]
 
 
 class _RecordingLabels(ComponentLabels):
@@ -106,7 +51,7 @@ class _RecordingLabels(ComponentLabels):
 
 
 def _window_ops() -> List[Tuple[bool, int, int]]:
-    """The sample mutations of E9a's sliding-window run (capacity 1500,
+    """The sample mutations of a sliding-window run (capacity 1500,
     window 5000): many small components, typical churn."""
     window = SlidingWindowClusterer(
         ClustererConfig(reservoir_capacity=1500, strict=False, seed=7), window=5000

@@ -21,8 +21,8 @@ Packages
 * :mod:`repro.core` — the streaming clusterer (+ sharded / windowed).
 * :mod:`repro.connectivity` — component labels of the sampled sub-graph
   (+ HDT/ETT fully-dynamic connectivity, union-find).
-* :mod:`repro.sampling` — reservoir samplers (Algorithm R/L, random
-  pairing, Bernoulli).
+* :mod:`repro.sampling` — reservoir samplers (random pairing, packed
+  and vectorized, weighted).
 * :mod:`repro.streams` — event model, generators (SBM, LFR-style,
   drift), orders, I/O.
 * :mod:`repro.baselines` — offline comparators (Louvain, LPA, spectral,
@@ -40,7 +40,6 @@ from repro.core import (
     ClustererStats,
     CompositeConstraint,
     ConstraintPolicy,
-    DeletionPolicy,
     MaxClusterSize,
     MinClusterCount,
     MultiResolutionClusterer,
@@ -48,7 +47,6 @@ from repro.core import (
     ShardedClusterer,
     SlidingWindowClusterer,
     StreamingGraphClusterer,
-    TimeWindowClusterer,
     SupervisorConfig,
     Unconstrained,
     WeightedStreamingClusterer,
@@ -81,7 +79,6 @@ __all__ = [
     "ClustererStats",
     "CompositeConstraint",
     "ConstraintPolicy",
-    "DeletionPolicy",
     "EdgeEvent",
     "EventKind",
     "MaxClusterSize",
@@ -96,7 +93,6 @@ __all__ = [
     "StreamError",
     "SupervisorConfig",
     "StreamingGraphClusterer",
-    "TimeWindowClusterer",
     "Unconstrained",
     "WeightedStreamingClusterer",
     "UnsupportedOperationError",

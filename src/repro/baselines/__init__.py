@@ -13,8 +13,7 @@ needing a cluster count ``k`` are exposed via factories.
 
 from typing import Dict
 
-from repro.baselines.components import connected_components, sampled_components
-from repro.baselines.girvan_newman import edge_betweenness, girvan_newman
+from repro.baselines.components import connected_components
 from repro.baselines.label_propagation import label_propagation
 from repro.baselines.louvain import louvain
 from repro.baselines.mcl import mcl
@@ -29,15 +28,12 @@ __all__ = [
     "OfflineAlgorithm",
     "PeriodicRecomputeClusterer",
     "connected_components",
-    "edge_betweenness",
-    "girvan_newman",
     "label_propagation",
     "louvain",
     "make_multilevel",
     "make_spectral",
     "mcl",
     "multilevel_partition",
-    "sampled_components",
     "spectral_clustering",
 ]
 

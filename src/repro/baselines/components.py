@@ -1,25 +1,17 @@
-"""Static connected components — the degenerate clustering baselines.
+"""Static connected components — the degenerate clustering baseline.
 
-* :func:`connected_components` — components of the full graph (what the
-  streaming algorithm degenerates to with an unbounded reservoir).
-* :func:`sampled_components` — components of a uniform one-shot edge
-  sample: the *offline* analogue of graph reservoir sampling, used to
-  sanity-check that the streaming reservoir matches its batch
-  counterpart in distribution.
+:func:`connected_components` gives the components of the full graph:
+what the streaming algorithm degenerates to with an unbounded
+reservoir.
 """
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.connectivity.union_find import UnionFind
 from repro.graph.adjacency import AdjacencyGraph
 from repro.quality.partition import Partition
-from repro.streams.events import Edge
-from repro.util.rng import child_seed, make_rng
-from repro.util.validation import check_positive
 
-__all__ = ["connected_components", "sampled_components"]
+__all__ = ["connected_components"]
 
 
 def connected_components(graph: AdjacencyGraph) -> Partition:
@@ -29,21 +21,3 @@ def connected_components(graph: AdjacencyGraph) -> Partition:
         union.union(u, v)
     return Partition.from_clusters(union.groups())
 
-
-def sampled_components(
-    graph: AdjacencyGraph, sample_size: int, seed: int = 0
-) -> Partition:
-    """Components of a uniform ``sample_size``-edge sample of ``graph``.
-
-    All graph vertices appear in the result (unsampled ones as
-    singletons), mirroring the streaming clusterer's snapshot.
-    """
-    check_positive("sample_size", sample_size)
-    rng = make_rng(child_seed(seed, "sampled_components"))
-    edges: List[Edge] = graph.edge_list()
-    if sample_size < len(edges):
-        edges = rng.sample(edges, sample_size)
-    union = UnionFind(graph.vertices())
-    for u, v in edges:
-        union.union(u, v)
-    return Partition.from_clusters(union.groups())

@@ -4,7 +4,7 @@ Public entry points:
 
 * :class:`StreamingGraphClusterer` — online clusterer over a stream of
   vertex/edge additions and deletions.
-* :class:`ClustererConfig` / :class:`DeletionPolicy` — configuration.
+* :class:`ClustererConfig` — configuration.
 * :mod:`repro.core.constraints` — cluster-shape admission policies.
 * :class:`ShardedClusterer` / :class:`PipelineClusterer` — the
   parallelization story: shards in process, or in supervised worker
@@ -13,7 +13,7 @@ Public entry points:
 """
 
 from repro.core.clusterer import ClustererStats, StreamingGraphClusterer
-from repro.core.config import ClustererConfig, DeletionPolicy
+from repro.core.config import ClustererConfig
 from repro.core.constraints import (
     CompositeConstraint,
     ConstraintPolicy,
@@ -30,7 +30,6 @@ from repro.core.tracking import (
     TrackingReport,
 )
 from repro.core.hierarchy import MultiResolutionClusterer
-from repro.core.timewindow import TimeWindowClusterer
 from repro.core.weighted import WeightedStreamingClusterer
 from repro.core.window import SlidingWindowClusterer
 
@@ -42,7 +41,6 @@ __all__ = [
     "ClustererStats",
     "CompositeConstraint",
     "ConstraintPolicy",
-    "DeletionPolicy",
     "MaxClusterSize",
     "MinClusterCount",
     "MultiResolutionClusterer",
@@ -51,7 +49,6 @@ __all__ = [
     "ShardedClusterer",
     "SlidingWindowClusterer",
     "SupervisorConfig",
-    "TimeWindowClusterer",
     "StreamingGraphClusterer",
     "Unconstrained",
     "WeightedStreamingClusterer",

@@ -20,8 +20,7 @@ sample of the edges**:
    :class:`~repro.quality.partition.Partition`.
 
 Every update is processed online and incrementally; no pass over the
-full graph is ever required (unless the optional RESAMPLE deletion
-policy is selected).
+full graph is ever required.
 
 Dense-integer hot path
 ----------------------
@@ -39,8 +38,8 @@ sampling decisions.
 Batched ingestion
 -----------------
 :meth:`StreamingGraphClusterer.apply_many` is the high-throughput entry
-point. For the unconstrained random-pairing configuration it amortizes
-the per-event Python overhead across a whole batch: events are consumed
+point. For the unconstrained configuration it amortizes the per-event
+Python overhead across a whole batch: events are consumed
 as plain ``(kind, u, v)`` tuples or :class:`EdgeEvent` objects, the
 reservoir step is inlined, stats are accumulated in local counters, and
 the component labels are updated in place, so the end-to-end result —
@@ -58,7 +57,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, U
 
 from repro.connectivity.labels import ComponentLabels
 from repro.obs import metrics as _obs
-from repro.core.config import ClustererConfig, DeletionPolicy, normalize_config
+from repro.core.config import ClustererConfig, normalize_config
 from repro.core.constraints import Unconstrained
 from repro.errors import StreamError, UnsupportedOperationError
 from repro.graph.adjacency import AdjacencyGraph
@@ -74,7 +73,7 @@ from repro.streams.events import (
     Vertex,
     canonical_edge,
 )
-from repro.util.rng import child_seed, make_rng
+from repro.util.rng import child_seed
 
 __all__ = ["STATE_FORMAT", "ClustererStats", "StreamingGraphClusterer"]
 
@@ -109,7 +108,6 @@ class ClustererStats:
     component_merges: int = 0
     component_splits: int = 0
     malformed_events: int = 0
-    resamples: int = 0
 
     def as_dict(self) -> dict:
         """Plain-dict view (for logging / result records)."""
@@ -157,7 +155,6 @@ class StreamingGraphClusterer:
         self._graph: Optional[AdjacencyGraph] = (
             AdjacencyGraph(interner=self._intern) if config.track_graph else None
         )
-        self._rebuild_rng = make_rng(child_seed(config.seed, "rebuild"))
         # Cached cluster extraction, invalidated by structural changes.
         self._partition_cache: Optional[Partition] = None
         #: Number of times a partition was actually (re)built by
@@ -230,19 +227,14 @@ class StreamingGraphClusterer:
         graph, and clustering — is identical to calling :meth:`apply`
         per event, for any split of the stream into batches.
 
-        The fast path engages for the unconstrained random-pairing
-        configuration; constrained or RESAMPLE configurations fall back
-        to per-event processing transparently. Vertex deletions act as
-        batch barriers (they run on the per-event path), so streams
-        where they are rare still batch well. Returns self for chaining.
+        The fast path engages for the unconstrained configuration;
+        constrained configurations fall back to per-event processing
+        transparently. Vertex deletions act as batch barriers (they run
+        on the per-event path), so streams where they are rare still
+        batch well. Returns self for chaining.
         """
-        config = self.config
         columns = type(events) is EventColumns
-        if (
-            config.deletion_policy is not DeletionPolicy.RANDOM_PAIRING
-            or type(config.constraint) is not Unconstrained
-            or not getattr(config, "batch_fast_path", True)
-        ):
+        if type(self.config.constraint) is not Unconstrained:
             if columns:
                 events = events.to_events()
             for event in events:
@@ -284,12 +276,7 @@ class StreamingGraphClusterer:
         Vertex events are not accepted (their application is conditional
         on label-space state; the pipeline handles them per-event).
         """
-        config = self.config
-        if (
-            config.deletion_policy is not DeletionPolicy.RANDOM_PAIRING
-            or type(config.constraint) is not Unconstrained
-            or not getattr(config, "batch_fast_path", True)
-        ):
+        if type(self.config.constraint) is not Unconstrained:
             label_of = self._intern.label_of
             for kind, uid, vid in events:
                 self.apply(EdgeEvent(kind, label_of(uid), label_of(vid)))
@@ -661,7 +648,6 @@ class StreamingGraphClusterer:
             self._invalidate()
             if self._components.cut(key >> 32, key & _MASK32):
                 self.stats.component_splits += 1
-        self._maybe_resample()
 
     def _on_add_vertex(self, v: Vertex) -> None:
         self.stats.vertex_adds += 1
@@ -696,61 +682,11 @@ class StreamingGraphClusterer:
                     self.stats.component_splits += 1
         if components.remove_vertex_if_isolated(uid):
             self._vertex_epoch += 1
-        self._maybe_resample()
 
     def _malformed(self, message: str) -> None:
         if self.config.strict:
             raise StreamError(message)
         self.stats.malformed_events += 1
-
-    # ------------------------------------------------------------------
-    # Resample policy (ablation comparator)
-    # ------------------------------------------------------------------
-    def _maybe_resample(self) -> None:
-        if self.config.deletion_policy is not DeletionPolicy.RESAMPLE:
-            return
-        assert self._graph is not None  # enforced by ClustererConfig
-        capacity = self.config.reservoir_capacity
-        target = min(capacity, self._graph.num_edges)
-        if len(self._reservoir) >= self.config.resample_threshold * target:
-            return
-        self._rebuild_sample()
-
-    def _rebuild_sample(self) -> None:
-        """Rebuild reservoir + component labels from the tracked graph (O(m))."""
-        assert self._graph is not None
-        self.stats.resamples += 1
-        self._invalidate()
-        self._reservoir = self._make_reservoir(
-            child_seed(self.config.seed, "reservoir", self.stats.resamples)
-        )
-        self._components = components = ComponentLabels()
-        self._vertex_epoch += 1
-        for vid in self._graph.vertex_ids():
-            components.add_vertex(vid)
-        # Sort before shuffling: edge_list() order reflects adjacency
-        # layout, which is not reproducible across processes (string
-        # hashing) or checkpoint restores; sorting makes the shuffled
-        # order a pure function of the edge set and the rebuild RNG.
-        id_of = self._intern.id_of
-        edges = sorted(self._graph.edge_list(), key=repr)
-        self._rebuild_rng.shuffle(edges)
-        for u, v in edges:
-            uid = id_of(u)
-            vid = id_of(v)
-            key = (uid << 32) | vid if uid < vid else (vid << 32) | uid
-            proposal = self._reservoir.propose_insert(key)
-            if not proposal.admit:
-                continue
-            if not self.config.constraint.allows(components, uid, vid):
-                self._reservoir.abort(proposal)
-                self.stats.vetoes += 1
-                continue
-            self._reservoir.commit(proposal)
-            evicted = proposal.evicted
-            if evicted is not None:
-                components.cut(evicted >> 32, evicted & _MASK32)
-            components.link(key >> 32, key & _MASK32)
 
     # ------------------------------------------------------------------
     # Persistence
@@ -787,7 +723,6 @@ class StreamingGraphClusterer:
             "intern": self._intern.labels(),
             "reservoir": reservoir_state,
             "conn_vertices": [label_of(vid) for vid in self._components.universe],
-            "rebuild_rng_state": self._rebuild_rng.getstate(),
             "graph": self._graph.get_state() if self._graph is not None else None,
         }
 
@@ -797,9 +732,9 @@ class StreamingGraphClusterer:
 
         The restored clusterer replays any stream tail to the *identical*
         partition, stats, and reservoir as an uninterrupted run: the
-        intern table, reservoir RNG state and slot order, the rebuild
-        RNG, and the tracked graph are exact, and the component labels
-        are rebuilt from the reservoir.
+        intern table, reservoir RNG state and slot order, and the
+        tracked graph are exact, and the component labels are rebuilt
+        from the reservoir.
 
         Format-1 states (pre-interning; no ``"format"`` key) still load:
         the intern table is derived from the persisted label-space
@@ -815,7 +750,13 @@ class StreamingGraphClusterer:
                 f"says kernel={config.kernel!r}"
             )
         clusterer = cls(config)
-        clusterer.stats = ClustererStats(**state["stats"])
+        # States written before the RESAMPLE policy was retired also
+        # carry a "resamples" stat (always 0 under random pairing, the
+        # only policy normalize_config lets through) and a
+        # "rebuild_rng_state" key; both are ignored.
+        stats = dict(state["stats"])
+        stats.pop("resamples", None)
+        clusterer.stats = ClustererStats(**stats)
         intern = clusterer._intern
         if state.get("format", 1) >= 2:
             for label in state["intern"]:
@@ -877,8 +818,6 @@ class StreamingGraphClusterer:
             (key >> 32, key & _MASK32) for key in clusterer._reservoir
         )
         clusterer._vertex_epoch += 1
-        clusterer._rebuild_rng = make_rng(0)
-        clusterer._rebuild_rng.setstate(state["rebuild_rng_state"])
         graph_state = state["graph"]
         clusterer._graph = (
             AdjacencyGraph.from_state(graph_state, interner=intern)
@@ -986,7 +925,6 @@ class StreamingGraphClusterer:
         "component_merges",
         "component_splits",
         "malformed_events",
-        "resamples",
     )
     _METRIC_PROBE_FIELDS = (
         "partition_builds",

@@ -6,22 +6,20 @@ import enum
 from dataclasses import dataclass, field, fields
 
 from repro.core.constraints import ConstraintPolicy, Unconstrained
-from repro.util.validation import check_positive, check_probability
+from repro.util.validation import check_positive
 
-__all__ = ["DeletionPolicy", "ClustererConfig", "normalize_config"]
+__all__ = ["ClustererConfig", "normalize_config"]
 
 
 class DeletionPolicy(enum.Enum):
-    """How the reservoir compensates for edge deletions.
+    """Retired: kept only so that older checkpoints unpickle.
 
-    * ``RANDOM_PAIRING`` — the paper-faithful default: deletions are
-      paired with later insertions (uniform sample, no access to the full
-      edge set required).
-    * ``RESAMPLE`` — when the sample shrinks below
-      ``resample_threshold × capacity``, rebuild it by drawing uniformly
-      from the *tracked* full edge set (requires ``track_graph=True``).
-      Restores sample size immediately at an O(m) cost — the ablation
-      comparator in experiment E9.
+    Releases before the policy's retirement pickled a
+    ``deletion_policy`` field holding a member of this enum inside every
+    checkpointed :class:`ClustererConfig`; without the class, each such
+    checkpoint would fail to load. :func:`normalize_config` drops the
+    field and refuses ``RESAMPLE``. Random pairing is the only deletion
+    handling.
     """
 
     RANDOM_PAIRING = "random_pairing"
@@ -43,23 +41,17 @@ class ClustererConfig:
         (:mod:`repro.core.constraints`).
     track_graph:
         Keep the full graph in memory. Required for vertex deletions,
-        duplicate detection under ``strict``, the RESAMPLE policy, and
-        quality metrics against the live graph. Disable for the lean,
-        reservoir-only memory mode.
+        duplicate detection under ``strict``, and quality metrics
+        against the live graph. Disable for the lean, reservoir-only
+        memory mode.
     strict:
         Raise on malformed streams (duplicate edge adds, deletes of
         absent edges). When False such events are counted and ignored.
         Requires ``track_graph`` to be detectable; without tracking,
         malformed edge events raise ``ValueError`` at configuration time
         only if ``strict`` is set.
-    deletion_policy / resample_threshold:
-        See :class:`DeletionPolicy`.
     seed:
         Master seed; all internal randomness derives from it.
-    batch_fast_path:
-        Allow ``apply_many`` to use the inlined batch ingestion loop
-        (unconstrained random-pairing configurations only). The result is identical either way; disable only to
-        force the per-event reference path, e.g. when benchmarking it.
     kernel:
         Which sampling kernel drives batched ingestion. ``"scalar"``
         (default) is the Mersenne-Twister reference path — bit-identical
@@ -75,27 +67,16 @@ class ClustererConfig:
     constraint: ConstraintPolicy = field(default_factory=Unconstrained)
     track_graph: bool = True
     strict: bool = True
-    deletion_policy: DeletionPolicy = DeletionPolicy.RANDOM_PAIRING
-    resample_threshold: float = 0.5
     seed: int = 0
-    batch_fast_path: bool = True
     kernel: str = "scalar"
 
     def __post_init__(self) -> None:
         check_positive("reservoir_capacity", self.reservoir_capacity)
-        check_probability("resample_threshold", self.resample_threshold)
         if not isinstance(self.constraint, ConstraintPolicy):
             raise TypeError(
                 "constraint must be a ConstraintPolicy instance, "
                 f"got {type(self.constraint).__name__}"
             )
-        if not isinstance(self.deletion_policy, DeletionPolicy):
-            raise TypeError(
-                "deletion_policy must be a DeletionPolicy, "
-                f"got {type(self.deletion_policy).__name__}"
-            )
-        if self.deletion_policy is DeletionPolicy.RESAMPLE and not self.track_graph:
-            raise ValueError("DeletionPolicy.RESAMPLE requires track_graph=True")
         if self.strict and not self.track_graph:
             raise ValueError(
                 "strict stream validation requires track_graph=True; "
@@ -114,11 +95,22 @@ def normalize_config(config: ClustererConfig) -> ClustererConfig:
     ``kernel`` field was added unpickles without the attribute (which
     would break attribute access *and* dataclass equality); such a
     checkpoint was by construction written by the scalar kernel. One
-    written before a field was retired (the connectivity backend
-    choice, which never changed the clustering) still carries it; the
-    stale attribute is dropped, so the next checkpoint is written
-    without it.
+    written before a field was retired still carries it, and the stale
+    attribute is dropped, so the next checkpoint is written without it:
+    the connectivity backend choice and ``batch_fast_path`` never
+    changed the clustering (the numpy kernel's batch boundaries are not
+    part of its checkpoint either), and ``deletion_policy`` /
+    ``resample_threshold`` are dropped when the policy was random
+    pairing. A config that selected the retired ``RESAMPLE`` policy is
+    refused with ``ValueError``: resuming it under random pairing would
+    silently change the run.
     """
+    if getattr(config, "deletion_policy", None) is DeletionPolicy.RESAMPLE:
+        raise ValueError(
+            "the configuration selects the retired RESAMPLE deletion policy "
+            "(DeletionPolicy.RESAMPLE); this release runs random pairing "
+            "only, so resuming it would silently change the run"
+        )
     if not hasattr(config, "kernel"):
         config.kernel = "scalar"
     current = {f.name for f in fields(config)}

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from repro.core.clusterer import AnyEvent, StreamingGraphClusterer
-from repro.core.config import ClustererConfig
+from repro.core.config import ClustererConfig, normalize_config
 from repro.core.sharded import (
     _mp_context,
     _shard_config,
@@ -284,7 +284,7 @@ class PipelineClusterer:
         check_positive("num_workers", num_workers)
         check_positive("batch_events", batch_events)
         check_positive("max_frame_bytes", max_frame_bytes)
-        self.config = config
+        self.config = normalize_config(config)
         self.num_shards = int(num_workers)
         self.batch_events = int(batch_events)
         self.max_frame_bytes = int(max_frame_bytes)
@@ -555,7 +555,7 @@ class PipelineClusterer:
             if events.kinds is None and self._route_columns(events):
                 return self
             events = events.to_events()
-        if getattr(self.config, "kernel", "scalar") == "numpy":
+        if self.config.kernel == "numpy":
             if type(events) is not list:
                 events = list(events)
             if self._route_vectorized(events):
@@ -721,18 +721,16 @@ class PipelineClusterer:
         """Route an all-ADD columnar batch without leaving numpy.
 
         Returns False when the columns cannot take the vectorized path
-        (numpy missing, or labels that are not plain int64-range ints);
-        the caller then falls back to the tuple loop. Self-loop
-        semantics match the scalar loop: everything before the first
-        loop is routed, then the canonical ``ValueError`` is raised.
+        (labels that are not plain int64-range ints); the caller then
+        falls back to the tuple loop. Self-loop semantics match the
+        scalar loop: everything before the first loop is routed, then
+        the canonical ``ValueError`` is raised.
         """
         us, vs = columns.us, columns.vs
         if not len(us):
             return True
-        try:
-            import numpy as np
-        except ImportError:
-            return False
+        import numpy as np
+
         if type(us) is list:
             # Exact-type gate, as in _route_vectorized: bools key via
             # the repr hash, huge ints overflow int64.

@@ -112,11 +112,8 @@ def _shard_config(config: ClustererConfig, shard: int, num_shards: int) -> Clust
         constraint=config.constraint,
         track_graph=config.track_graph,
         strict=config.strict,
-        deletion_policy=config.deletion_policy,
-        resample_threshold=config.resample_threshold,
         seed=child_seed(config.seed, "shard", shard),
-        batch_fast_path=config.batch_fast_path,
-        kernel=getattr(config, "kernel", "scalar"),
+        kernel=config.kernel,
     )
 
 
@@ -177,7 +174,7 @@ class ShardedClusterer:
 
     def __init__(self, config: ClustererConfig, num_shards: int) -> None:
         check_positive("num_shards", num_shards)
-        self.config = config
+        self.config = config = normalize_config(config)
         self.num_shards = num_shards
         self.shards: List[StreamingGraphClusterer] = [
             StreamingGraphClusterer(_shard_config(config, i, num_shards))
@@ -227,7 +224,7 @@ class ShardedClusterer:
         at a time. Vertex events are barriers: buckets flush, then the
         event is broadcast exactly as in :meth:`apply`.
         """
-        if getattr(self.config, "kernel", "scalar") == "numpy":
+        if self.config.kernel == "numpy":
             if type(events) is not list:
                 events = list(events)
             if self._route_vectorized(events):
@@ -361,7 +358,7 @@ class ShardedClusterer:
     @classmethod
     def from_state(cls, state: dict) -> "ShardedClusterer":
         """Reconstruct a sharded clusterer from :meth:`get_state` output."""
-        sharded = cls(normalize_config(state["config"]), state["num_shards"])
+        sharded = cls(state["config"], state["num_shards"])
         shard_states = state["shards"]
         if len(shard_states) != sharded.num_shards:
             raise ValueError(

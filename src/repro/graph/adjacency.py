@@ -1,9 +1,9 @@
 """Dynamic undirected graph backed by adjacency sets.
 
 :class:`AdjacencyGraph` is the mutable graph substrate: the streaming
-clusterer keeps one for the *full* graph (needed for quality metrics and
-for the resample-on-delete reservoir policy) and the reservoir keeps the
-sampled sub-graph structure in its connectivity index.
+clusterer keeps one for the *full* graph (needed for vertex deletions,
+strict stream validation and quality metrics) and the reservoir keeps
+the sampled sub-graph structure in its connectivity index.
 
 Design notes
 ------------
@@ -435,9 +435,9 @@ class AdjacencyGraph:
         """Serializable state: vertices and edges in iteration order.
 
         Vertex order matters — iteration order is deterministic in both
-        modes (dict insertion order / ascending id order) and downstream
-        consumers (e.g. the resample policy) depend on a restored graph
-        presenting vertices in the same order. The state itself is
+        modes (dict insertion order / ascending id order), and a restored
+        graph presents vertices in the same order, so a resumed run
+        iterates exactly as an uninterrupted one. The state itself is
         always label-space, so it is mode- and format-portable.
         """
         return {"vertices": list(self.vertices()), "edges": self.edge_list()}

@@ -3,20 +3,16 @@
 The paper's fundamental building block — *graph reservoir sampling* —
 is assembled from these pieces:
 
-* :class:`ReservoirR` — classic insert-only reservoir (Algorithm R).
-* :class:`ReservoirL` — skip-based insert-only reservoir (Algorithm L),
-  the RNG-light variant for high-rate streams.
 * :class:`RandomPairingReservoir` — bounded-size uniform sample under
   insertions **and** deletions (random pairing), with a propose/commit
   protocol so the clusterer can veto constraint-violating admissions.
-* :class:`BernoulliSampler` — fixed-rate p-sampling, the theoretical
-  comparator (cut-preserving sparsification at fixed rate instead of
-  fixed memory).
+  The clusterer runs its packed-edge-key subclass
+  (:class:`~repro.sampling.random_pairing.PackedEdgeReservoir`), or the
+  numpy kernel's (:mod:`repro.sampling.vectorized`).
+* :class:`WeightedReservoir` — weight-proportional sampling, the
+  substrate of the weighted clusterer extension.
 """
 
-from repro.sampling.algorithm_l import ReservoirL
-from repro.sampling.algorithm_r import ReservoirR
-from repro.sampling.bernoulli import BernoulliSampler
 from repro.sampling.random_pairing import (
     NOT_ADMITTED,
     InsertProposal,
@@ -26,10 +22,7 @@ from repro.sampling.weighted import WeightedReservoir
 
 __all__ = [
     "NOT_ADMITTED",
-    "BernoulliSampler",
     "InsertProposal",
     "RandomPairingReservoir",
-    "ReservoirL",
-    "ReservoirR",
     "WeightedReservoir",
 ]

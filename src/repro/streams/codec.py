@@ -75,9 +75,7 @@ all-int ``ADD_EDGE`` run (deletions, vertex events, self-loops kept
 for error reporting) still travels as v2 frames. Decoded columns come
 back as :class:`~repro.streams.events.EventColumns` and keep the exact
 apply-time semantics of the equivalent tuples (property-tested in
-``tests/test_codec_columnar.py``). Without numpy the same frames decode
-through a pure-``struct`` fallback, so the wire format never depends on
-an optional import.
+``tests/test_codec_columnar.py``).
 
 :class:`DeltaBatchDecoder` also decodes a large version-2 frame to
 columns when it holds only edge events over an all-int table: the
@@ -109,12 +107,9 @@ from __future__ import annotations
 import struct
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.streams.events import EVENT_KINDS, EventColumns, EventKind, RawEvent
+import numpy as _np
 
-try:  # numpy powers the vectorized columnar paths; pure-struct otherwise
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
-    _np = None
+from repro.streams.events import EVENT_KINDS, EventColumns, EventKind, RawEvent
 
 __all__ = [
     "COLUMNAR_CODEC_VERSION",
@@ -403,21 +398,20 @@ class FrameEncoder:
             )
         if not n:
             return
-        if _np is not None:
-            au = av = None
-            if isinstance(us, _np.ndarray) and isinstance(vs, _np.ndarray):
-                if us.dtype.kind == "i" and vs.dtype.kind == "i":
-                    au = us.astype(_np.int64, copy=False)
-                    av = vs.astype(_np.int64, copy=False)
-            elif set(map(type, us)) == {int} and set(map(type, vs)) == {int}:
-                try:
-                    au = _np.array(us, dtype=_np.int64)
-                    av = _np.array(vs, dtype=_np.int64)
-                except (OverflowError, ValueError):
-                    au = av = None  # bigint labels: generic path
-            if au is not None:
-                yield from self._encode_columns_int(au, av, max_bytes)
-                return
+        au = av = None
+        if isinstance(us, _np.ndarray) and isinstance(vs, _np.ndarray):
+            if us.dtype.kind == "i" and vs.dtype.kind == "i":
+                au = us.astype(_np.int64, copy=False)
+                av = vs.astype(_np.int64, copy=False)
+        elif set(map(type, us)) == {int} and set(map(type, vs)) == {int}:
+            try:
+                au = _np.array(us, dtype=_np.int64)
+                av = _np.array(vs, dtype=_np.int64)
+            except (OverflowError, ValueError):
+                au = av = None  # bigint labels: generic path
+        if au is not None:
+            yield from self._encode_columns_int(au, av, max_bytes)
+            return
         yield from self._encode_columns_generic(list(us), list(vs), max_bytes)
 
     def _encode_columns_int(self, au, av, max_bytes: int) -> Iterator[bytes]:
@@ -621,31 +615,19 @@ class _ColumnarDecodeMixin:
         table_count = len(self._labels)
         if not count:
             return EventColumns(us=[], vs=[])
-        if _np is not None:
-            u_idx = _np.frombuffer(data, dtype="<u4", count=count, offset=offset)
-            v_idx = _np.frombuffer(
-                data, dtype="<u4", count=count, offset=offset + 4 * count
-            )
-            if int(u_idx.max()) >= table_count or int(v_idx.max()) >= table_count:
-                raise ValueError(
-                    "corrupt event frame: vertex index out of range"
-                )
-            if self._sync_table_array():
-                table = self._table_arr
-                return EventColumns(us=table[u_idx], vs=table[v_idx])
-            labels = self._labels
-            us = [labels[i] for i in u_idx.tolist()]
-            vs = [labels[i] for i in v_idx.tolist()]
-            return EventColumns(us=us, vs=vs)
-        u_idx = struct.unpack_from(f"<{count}I", data, offset)
-        v_idx = struct.unpack_from(f"<{count}I", data, offset + 4 * count)
-        if max(u_idx) >= table_count or max(v_idx) >= table_count:
-            raise ValueError("corrupt event frame: vertex index out of range")
-        labels = self._labels
-        return EventColumns(
-            us=[labels[i] for i in u_idx],
-            vs=[labels[i] for i in v_idx],
+        u_idx = _np.frombuffer(data, dtype="<u4", count=count, offset=offset)
+        v_idx = _np.frombuffer(
+            data, dtype="<u4", count=count, offset=offset + 4 * count
         )
+        if int(u_idx.max()) >= table_count or int(v_idx.max()) >= table_count:
+            raise ValueError("corrupt event frame: vertex index out of range")
+        if self._sync_table_array():
+            table = self._table_arr
+            return EventColumns(us=table[u_idx], vs=table[v_idx])
+        labels = self._labels
+        us = [labels[i] for i in u_idx.tolist()]
+        vs = [labels[i] for i in v_idx.tolist()]
+        return EventColumns(us=us, vs=vs)
 
 
 class FrameDecoder(_ColumnarDecodeMixin):
@@ -853,11 +835,7 @@ class DeltaBatchDecoder(_ColumnarDecodeMixin):
             offset += 4
         except (struct.error, IndexError, UnicodeDecodeError) as error:
             raise ValueError(f"corrupt event frame: {error}") from None
-        if (
-            count >= _V2_COLUMNS_MIN_EVENTS
-            and _np is not None
-            and offset + 12 * count == len(data)
-        ):
+        if count >= _V2_COLUMNS_MIN_EVENTS and offset + 12 * count == len(data):
             labels.extend(fresh)
             fresh = []
             columns = self._decode_edge_columns(data, offset, count)

@@ -197,13 +197,9 @@ def concat_event_batches(batches: list):
                 us.extend(up)
                 vs.extend(vp)
             return EventColumns(us=us, vs=vs)
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - arrays imply numpy exists
-            np = None
-        if np is not None and all(
-            isinstance(p, np.ndarray) for p in us_parts + vs_parts
-        ):
+        import numpy as np
+
+        if all(isinstance(p, np.ndarray) for p in us_parts + vs_parts):
             return EventColumns(
                 us=np.concatenate(us_parts), vs=np.concatenate(vs_parts)
             )

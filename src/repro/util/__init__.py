@@ -4,23 +4,19 @@ These helpers are deliberately small and dependency-free so that every
 other subpackage can use them without import cycles.
 """
 
-from repro.util.rng import child_seed, make_rng, spawn_rngs
-from repro.util.timer import Stopwatch, PhaseTimer
+from repro.util.rng import child_seed, make_rng
+from repro.util.timer import PhaseTimer
 from repro.util.validation import (
     check_non_negative,
     check_positive,
     check_probability,
-    check_type,
 )
 
 __all__ = [
     "child_seed",
     "make_rng",
-    "spawn_rngs",
-    "Stopwatch",
     "PhaseTimer",
     "check_non_negative",
     "check_positive",
     "check_probability",
-    "check_type",
 ]

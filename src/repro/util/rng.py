@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, List
 
-__all__ = ["child_seed", "make_rng", "spawn_rngs"]
+__all__ = ["child_seed", "make_rng"]
 
 _SEED_BITS = 63
 _SEED_MASK = (1 << _SEED_BITS) - 1
@@ -53,8 +52,3 @@ def make_rng(seed: int | None) -> random.Random:
     that care about reproducibility should always pass an integer.
     """
     return random.Random(seed)
-
-
-def spawn_rngs(parent_seed: int, labels: Iterable[object]) -> List[random.Random]:
-    """Return one independent RNG per label, derived from ``parent_seed``."""
-    return [make_rng(child_seed(parent_seed, label)) for label in labels]

@@ -6,55 +6,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict
 
-__all__ = ["Stopwatch", "PhaseTimer"]
-
-
-class Stopwatch:
-    """A restartable monotonic stopwatch.
-
-    >>> sw = Stopwatch()
-    >>> _ = sw.start()
-    >>> _ = sum(range(1000))
-    >>> sw.stop() >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._start: float | None = None
-        self._elapsed: float = 0.0
-
-    def start(self) -> "Stopwatch":
-        """Start (or resume) the stopwatch; returns self for chaining."""
-        if self._start is None:
-            self._start = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        """Stop the stopwatch and return the total elapsed seconds."""
-        if self._start is not None:
-            self._elapsed += time.perf_counter() - self._start
-            self._start = None
-        return self._elapsed
-
-    def reset(self) -> None:
-        """Zero the accumulated time and stop."""
-        self._start = None
-        self._elapsed = 0.0
-
-    @property
-    def elapsed(self) -> float:
-        """Total elapsed seconds, including the running segment if any."""
-        running = 0.0
-        if self._start is not None:
-            running = time.perf_counter() - self._start
-        return self._elapsed + running
-
-    def __enter__(self) -> "Stopwatch":
-        self.start()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
+__all__ = ["PhaseTimer"]
 
 
 @dataclass

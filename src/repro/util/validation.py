@@ -6,13 +6,10 @@ so misuse fails at the call site rather than deep inside an update loop.
 
 from __future__ import annotations
 
-from typing import Any, Tuple, Type
-
 __all__ = [
     "check_non_negative",
     "check_positive",
     "check_probability",
-    "check_type",
 ]
 
 
@@ -32,14 +29,3 @@ def check_probability(name: str, value: float) -> None:
     """Raise ``ValueError`` unless ``0 <= value <= 1``."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-
-
-def check_type(name: str, value: Any, types: Type | Tuple[Type, ...]) -> None:
-    """Raise ``TypeError`` unless ``value`` is an instance of ``types``."""
-    if not isinstance(value, types):
-        expected = (
-            types.__name__
-            if isinstance(types, type)
-            else " or ".join(t.__name__ for t in types)
-        )
-        raise TypeError(f"{name} must be {expected}, got {type(value).__name__}")

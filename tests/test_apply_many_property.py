@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -333,7 +332,6 @@ def test_numpy_kernel_matches_from_scratch_components(
     """Reads at random points, after batches of 1 to 299 events, match
     the components of the sample recomputed from scratch: small sample
     changes are replayed, large ones rebuilt."""
-    pytest.importorskip("numpy")
     clusterer = StreamingGraphClusterer(
         ClustererConfig(
             reservoir_capacity=capacity,

@@ -12,7 +12,6 @@ from repro.baselines import (
     make_spectral,
     mcl,
     multilevel_partition,
-    sampled_components,
     spectral_clustering,
 )
 from repro.graph import AdjacencyGraph
@@ -161,17 +160,6 @@ class TestComponents:
         graph.add_vertex(9)
         partition = connected_components(graph)
         assert partition.num_clusters == 3
-
-    def test_sampled_components_with_full_budget(self, triangle_graph):
-        graph, _ = triangle_graph
-        partition = sampled_components(graph, sample_size=100, seed=0)
-        assert partition == connected_components(graph)
-
-    def test_sampled_components_partial(self, sbm_small):
-        graph = AdjacencyGraph(sbm_small.edges)
-        partition = sampled_components(graph, sample_size=50, seed=0)
-        assert partition.num_clusters > 4  # heavily under-sampled → fragments
-        assert partition.num_vertices == graph.num_vertices
 
 
 class TestRecompute:

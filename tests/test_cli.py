@@ -466,7 +466,8 @@ class TestCheckpointResume:
     @pytest.mark.parametrize("backend", ["hdt", "lazy"])
     def test_legacy_backend_checkpoint_resumes(self, workload, tmp_path, capsys,
                                                backend):
-        from repro.persist import read_container, write_container
+        from repro.persist import read_container
+        from tests.test_persist import assert_current_state, make_legacy
 
         edges, _ = workload
         args = ["cluster", edges, "--capacity", "300", "--seed", "5",
@@ -478,10 +479,7 @@ class TestCheckpointResume:
                           "100", "--inject-kill-after", "350")
         assert crashed.returncode == 3
         # Rewrite the mid-stream checkpoint as an older release wrote it.
-        payload = read_container(ckpt)
-        vars(payload["state"]["config"])["connectivity_backend"] = backend
-        payload["state"]["conn_dirty"] = True
-        write_container(ckpt, payload)
+        make_legacy(ckpt, backend)
         capsys.readouterr()
 
         resumed = tmp_path / "resumed.labels"
@@ -489,9 +487,26 @@ class TestCheckpointResume:
                      "--out", str(resumed)]) == 0
         assert "resumed from" in capsys.readouterr().err
         assert resumed.read_text() == full.read_text()
-        state = read_container(ckpt)["state"]
-        assert "connectivity_backend" not in vars(state["config"])
-        assert "conn_dirty" not in state
+        assert_current_state(read_container(ckpt)["state"])
+
+    def test_resample_checkpoint_is_refused(self, workload, tmp_path, capsys):
+        from repro.core.config import DeletionPolicy
+        from tests.test_persist import make_legacy
+
+        edges, _ = workload
+        args = ["cluster", edges, "--capacity", "300", "--seed", "5"]
+        ckpt = tmp_path / "run.ckpt"
+        crashed = run_cli(*args, "--checkpoint", ckpt, "--checkpoint-every",
+                          "100", "--inject-kill-after", "350")
+        assert crashed.returncode == 3
+        make_legacy(ckpt, policy=DeletionPolicy.RESAMPLE)
+        capsys.readouterr()
+
+        assert main([*map(str, args), "--checkpoint", str(ckpt), "--resume",
+                     "--out", os.devnull]) == 2
+        err = capsys.readouterr().err
+        assert "retired RESAMPLE" in err
+        assert "Traceback" not in err
 
     def test_corrupted_checkpoint_is_refused(self, workload, tmp_path, capsys):
         from repro.util.faults import corrupt_checkpoint

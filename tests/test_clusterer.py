@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import (
     ClustererConfig,
-    DeletionPolicy,
     MaxClusterSize,
     MinClusterCount,
     StreamingGraphClusterer,
@@ -54,8 +53,6 @@ class TestBasicClustering:
     @pytest.mark.parametrize("kernel", ["scalar", "numpy"])
     @pytest.mark.parametrize("batched", [False, True])
     def test_cluster_id_agrees_with_same_cluster(self, kernel, batched):
-        if kernel == "numpy":
-            pytest.importorskip("numpy")
         c = make(strict=False, kernel=kernel)
         events = [
             add_vertex(10),  # first label: internal id 0
@@ -185,41 +182,6 @@ class TestConstraints:
         c = make(capacity=2000, constraint=MinClusterCount(5), strict=False)
         c.process(insert_only_stream(graph.edges, seed=2))
         assert c.num_clusters >= 5
-
-    def test_constraint_applies_during_resample(self):
-        graph = planted_partition(60, 2, p_in=0.4, p_out=0.05, seed=7)
-        c = make(
-            capacity=300,
-            constraint=MaxClusterSize(10),
-            deletion_policy=DeletionPolicy.RESAMPLE,
-            strict=False,
-        )
-        c.process(insert_only_stream(graph.edges, seed=3))
-        edges = list(c.graph.edges())
-        for edge in edges[: len(edges) * 3 // 4]:
-            c.apply(delete_edge(*edge))
-        assert c.snapshot().max_cluster_size <= 10
-
-
-class TestResamplePolicy:
-    def test_resample_restores_sample_size(self):
-        graph = planted_partition(100, 4, p_in=0.3, p_out=0.02, seed=8)
-        c = make(capacity=100, deletion_policy=DeletionPolicy.RESAMPLE, strict=False)
-        c.process(insert_only_stream(graph.edges, seed=4))
-        edges = list(c.graph.edges())
-        for edge in edges[: len(edges) * 7 // 10]:
-            c.apply(delete_edge(*edge))
-        assert c.stats.resamples >= 1
-        remaining = c.graph.num_edges
-        assert c.reservoir_size >= 0.5 * min(100, remaining)
-
-    def test_random_pairing_never_resamples(self):
-        c = make(capacity=10)
-        for i in range(20):
-            c.apply(add_edge(i, i + 1))
-        for i in range(15):
-            c.apply(delete_edge(i, i + 1))
-        assert c.stats.resamples == 0
 
 
 class TestLeanMode:

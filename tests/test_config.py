@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ClustererConfig, DeletionPolicy, MaxClusterSize
+from repro.core import ClustererConfig, MaxClusterSize
 
 
 class TestValidation:
@@ -10,7 +10,6 @@ class TestValidation:
         config = ClustererConfig(reservoir_capacity=100)
         assert config.kernel == "scalar"
         assert config.track_graph is True
-        assert config.deletion_policy is DeletionPolicy.RANDOM_PAIRING
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -20,19 +19,6 @@ class TestValidation:
         with pytest.raises(TypeError, match="ConstraintPolicy"):
             ClustererConfig(reservoir_capacity=10, constraint="max_size_5")
 
-    def test_deletion_policy_type_checked(self):
-        with pytest.raises(TypeError, match="DeletionPolicy"):
-            ClustererConfig(reservoir_capacity=10, deletion_policy="resample")
-
-    def test_resample_requires_tracking(self):
-        with pytest.raises(ValueError, match="track_graph"):
-            ClustererConfig(
-                reservoir_capacity=10,
-                deletion_policy=DeletionPolicy.RESAMPLE,
-                track_graph=False,
-                strict=False,
-            )
-
     def test_strict_requires_tracking(self):
         with pytest.raises(ValueError, match="strict"):
             ClustererConfig(reservoir_capacity=10, track_graph=False)
@@ -40,10 +26,6 @@ class TestValidation:
     def test_lean_mode_is_expressible(self):
         config = ClustererConfig(reservoir_capacity=10, track_graph=False, strict=False)
         assert config.track_graph is False
-
-    def test_threshold_bounds(self):
-        with pytest.raises(ValueError):
-            ClustererConfig(reservoir_capacity=10, resample_threshold=1.5)
 
     def test_constraint_instance_accepted(self):
         config = ClustererConfig(reservoir_capacity=10, constraint=MaxClusterSize(5))

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import (
     ClustererConfig,
-    DeletionPolicy,
     MaxClusterSize,
     StreamingGraphClusterer,
 )
@@ -48,21 +47,6 @@ class TestDegenerateConfigs:
         assert c.snapshot().max_cluster_size == 1
         assert c.reservoir_size == 0  # every admission vetoed
         assert c.stats.vetoes == 20
-
-    def test_resample_threshold_zero_never_resamples(self):
-        c = StreamingGraphClusterer(
-            ClustererConfig(
-                reservoir_capacity=10,
-                deletion_policy=DeletionPolicy.RESAMPLE,
-                resample_threshold=0.0,
-                strict=False,
-            )
-        )
-        for i in range(10):
-            c.apply(add_edge(i, i + 1))
-        for i in range(9):
-            c.apply(delete_edge(i, i + 1))
-        assert c.stats.resamples == 0
 
 
 class TestMalformedStreams:

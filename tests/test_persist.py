@@ -1,10 +1,18 @@
 """Unit tests for the checkpoint container format and save/load API."""
 
 import os
+import random
+from dataclasses import fields
 
 import pytest
 
-from repro.core import ClustererConfig, ShardedClusterer, StreamingGraphClusterer
+from repro.core import (
+    ClustererConfig,
+    PipelineClusterer,
+    ShardedClusterer,
+    StreamingGraphClusterer,
+)
+from repro.core.config import DeletionPolicy
 from repro.errors import CheckpointError
 from repro.persist import (
     PeriodicCheckpointer,
@@ -253,15 +261,46 @@ class TestPeriodicCheckpointer:
             PeriodicCheckpointer(make_clusterer(), tmp_path / "ck", every=-1)
 
 
-def make_legacy(path, backend: str) -> None:
-    """Rewrite the checkpoint at ``path`` as an older release wrote it:
-    the pickled config still carries the retired connectivity backend
-    field, and the state the lazy backend's cache flag."""
+def make_legacy_state(
+    state: dict, backend: str = "hdt", policy=DeletionPolicy.RANDOM_PAIRING
+) -> None:
+    """Rewrite a clusterer or sharded state in place as an older release
+    wrote it: every pickled config still carries the retired fields
+    (the connectivity backend, ``deletion_policy``, ``resample_threshold``
+    and ``batch_fast_path``), and every clusterer state the lazy
+    backend's cache flag, the rebuild RNG's state and a ``resamples``
+    stat."""
+    clusterer_states = state.get("shards", [state])
+    for config in [state["config"]] + [cs["config"] for cs in clusterer_states]:
+        vars(config).update(
+            connectivity_backend=backend,
+            deletion_policy=policy,
+            resample_threshold=0.5,
+            batch_fast_path=True,
+        )
+    for clusterer_state in clusterer_states:
+        clusterer_state["conn_dirty"] = True
+        clusterer_state["rebuild_rng_state"] = random.Random(0).getstate()
+        clusterer_state["stats"]["resamples"] = 0
+
+
+def make_legacy(path, backend: str = "hdt", policy=DeletionPolicy.RANDOM_PAIRING):
+    """Rewrite the checkpoint at ``path`` with :func:`make_legacy_state`."""
     payload = read_container(path)
-    state = payload["state"]
-    vars(state["config"])["connectivity_backend"] = backend
-    state["conn_dirty"] = True
+    make_legacy_state(payload["state"], backend, policy)
     write_container(path, payload)
+
+
+def assert_current_state(state: dict) -> None:
+    """A state written by this release carries no retired field or key."""
+    current = {f.name for f in fields(ClustererConfig)}
+    clusterer_states = state.get("shards", [state])
+    for config in [state["config"]] + [cs["config"] for cs in clusterer_states]:
+        assert set(vars(config)) == current
+    for clusterer_state in clusterer_states:
+        assert "conn_dirty" not in clusterer_state
+        assert "rebuild_rng_state" not in clusterer_state
+        assert "resamples" not in clusterer_state["stats"]
 
 
 class TestLegacyCheckpoints:
@@ -270,8 +309,6 @@ class TestLegacyCheckpoints:
     def test_backend_field_is_dropped_and_resume_is_identical(
         self, tmp_path, churn_events, backend, kernel
     ):
-        if kernel == "numpy":
-            pytest.importorskip("numpy")
         full = make_clusterer(kernel=kernel).process(churn_events, batch_size=64)
         path = tmp_path / "legacy.ckpt"
         # On a batch boundary: the numpy kernel's draws depend on them.
@@ -284,16 +321,51 @@ class TestLegacyCheckpoints:
 
         checkpoint = load_checkpoint(path)
         restored = checkpoint.clusterer
-        assert not hasattr(restored.config, "connectivity_backend")
+        assert repr(restored.config) == repr(head.config)
         restored.process(checkpoint.remaining(churn_events), batch_size=64)
         assert restored.snapshot() == full.snapshot()
         assert restored.stats.as_dict() == full.stats.as_dict()
         assert restored.reservoir_edges() == full.reservoir_edges()
 
         save_checkpoint(restored, path, position=len(churn_events))
-        state = read_container(path)["state"]
-        assert "connectivity_backend" not in vars(state["config"])
-        assert "conn_dirty" not in state
+        assert_current_state(read_container(path)["state"])
+
+    def test_pipeline_resume_of_legacy_sharded_state_drops_retired_fields(
+        self, tmp_path, churn_events
+    ):
+        config = ClustererConfig(reservoir_capacity=90, seed=7, strict=False)
+        full = ShardedClusterer(config, 3).process(churn_events, batch_size=64)
+        path = tmp_path / "legacy.ckpt"
+        cut = len(churn_events) // 2
+        head = ShardedClusterer(config, 3).process(
+            churn_events[:cut], batch_size=64
+        )
+        save_checkpoint(head, path, position=cut)
+        make_legacy(path)
+
+        with PipelineClusterer.from_state(
+            read_container(path)["state"], batch_events=64
+        ) as pipeline:
+            assert repr(pipeline.config) == repr(config)
+            pipeline.process(churn_events[cut:], batch_size=64)
+            assert pipeline.snapshot() == full.snapshot()
+            save_checkpoint(pipeline, path, position=len(churn_events))
+        assert_current_state(read_container(path)["state"])
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_resample_checkpoint_is_refused(self, tmp_path, sharded):
+        config = ClustererConfig(reservoir_capacity=10, strict=False)
+        clusterer = (
+            ShardedClusterer(config, 2)
+            if sharded
+            else StreamingGraphClusterer(config)
+        )
+        clusterer.process([add_edge(i, i + 1) for i in range(30)])
+        path = tmp_path / "resample.ckpt"
+        save_checkpoint(clusterer, path, position=30)
+        make_legacy(path, policy=DeletionPolicy.RESAMPLE)
+        with pytest.raises(CheckpointError, match="retired RESAMPLE"):
+            load_checkpoint(path)
 
 
 class TestCanonicalize:

@@ -1,79 +1,11 @@
-"""Unit tests for the reservoir samplers (R, L, random pairing, Bernoulli)."""
+"""Unit tests for the random-pairing reservoir."""
 
 import random
 from collections import Counter
 
 import pytest
 
-from repro.sampling import (
-    BernoulliSampler,
-    RandomPairingReservoir,
-    ReservoirL,
-    ReservoirR,
-)
-
-
-class TestReservoirR:
-    def test_fills_to_capacity(self):
-        r = ReservoirR(5, seed=0)
-        for x in range(3):
-            r.offer(x)
-        assert sorted(r.items) == [0, 1, 2]
-        for x in range(3, 100):
-            r.offer(x)
-        assert len(r) == 5
-        assert r.stream_size == 100
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            ReservoirR(0)
-
-    def test_offer_return_contract(self):
-        r = ReservoirR(1, seed=1)
-        assert r.offer("a") is None  # admitted into spare capacity
-        outcome = r.offer("b")
-        assert outcome in ("a", "b")  # either evicted "a" or rejected "b"
-
-    def test_uniformity(self):
-        # Each of 40 items should be resident with probability 10/40.
-        counts = Counter()
-        runs = 3000
-        for seed in range(runs):
-            r = ReservoirR(10, seed=seed)
-            for x in range(40):
-                r.offer(x)
-            counts.update(r.items)
-        expected = runs * 10 / 40
-        for x in range(40):
-            assert abs(counts[x] - expected) < 5 * (expected**0.5)
-
-
-class TestReservoirL:
-    def test_equivalent_contract_to_r(self):
-        r = ReservoirL(7, seed=0)
-        for x in range(200):
-            r.offer(x)
-        assert len(r) == 7
-        assert r.stream_size == 200
-        assert all(0 <= x < 200 for x in r.items)
-
-    def test_uniformity(self):
-        counts = Counter()
-        runs = 3000
-        for seed in range(runs):
-            r = ReservoirL(10, seed=seed)
-            for x in range(40):
-                r.offer(x)
-            counts.update(r.items)
-        expected = runs * 10 / 40
-        for x in range(40):
-            assert abs(counts[x] - expected) < 5 * (expected**0.5)
-
-    def test_small_stream_keeps_everything(self):
-        r = ReservoirL(10, seed=2)
-        for x in range(6):
-            r.offer(x)
-        assert sorted(r.items) == list(range(6))
+from repro.sampling import RandomPairingReservoir
 
 
 class TestRandomPairing:
@@ -202,36 +134,3 @@ class TestRandomPairing:
         for x in survivors:
             assert abs(counts[x] - expected) < 5 * (expected**0.5), x
         assert all(counts[x] == 0 for x in range(10))
-
-
-class TestBernoulli:
-    def test_probability_bounds(self):
-        with pytest.raises(ValueError):
-            BernoulliSampler(1.5)
-
-    def test_p_zero_and_one(self):
-        none = BernoulliSampler(0.0, seed=0)
-        every = BernoulliSampler(1.0, seed=0)
-        for x in range(50):
-            none.insert(x)
-            every.insert(x)
-        assert none.sample_size == 0
-        assert every.sample_size == 50
-
-    def test_sample_rate_concentrates(self):
-        sampler = BernoulliSampler(0.2, seed=7)
-        for x in range(5000):
-            sampler.insert(x)
-        assert 800 <= sampler.sample_size <= 1200
-
-    def test_delete_tracks_membership(self):
-        sampler = BernoulliSampler(0.5, seed=1)
-        kept = [x for x in range(100) if sampler.insert(x)]
-        assert sampler.delete(kept[0]) is True
-        missing = next(x for x in range(100) if x not in sampler and x != kept[0])
-        assert sampler.delete(missing) is False
-        assert sampler.population == 98
-
-    def test_delete_empty_population_raises(self):
-        with pytest.raises(ValueError):
-            BernoulliSampler(0.5).delete("x")

@@ -5,37 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sampling import RandomPairingReservoir, ReservoirL, ReservoirR
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    capacity=st.integers(1, 20),
-    stream=st.lists(st.integers(0, 1000), min_size=0, max_size=200),
-    seed=st.integers(0, 2**20),
-)
-def test_reservoir_r_invariants(capacity, stream, seed):
-    r = ReservoirR(capacity, seed=seed)
-    for item in stream:
-        r.offer(item)
-    assert len(r) == min(capacity, len(stream))
-    assert r.stream_size == len(stream)
-    assert all(item in stream for item in r.items)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    capacity=st.integers(1, 20),
-    stream=st.lists(st.integers(0, 1000), min_size=0, max_size=200),
-    seed=st.integers(0, 2**20),
-)
-def test_reservoir_l_invariants(capacity, stream, seed):
-    r = ReservoirL(capacity, seed=seed)
-    for item in stream:
-        r.offer(item)
-    assert len(r) == min(capacity, len(stream))
-    assert r.stream_size == len(stream)
-    assert all(item in stream for item in r.items)
+from repro.sampling import RandomPairingReservoir
 
 
 # Random-pairing op sequences: insert fresh ids; delete ids currently live.

@@ -230,25 +230,23 @@ class TestInjectedRngEquivalence:
         events = _mixed_events(600, 80, seed=21, delete_rate=0.15)
 
         def run(kernel):
-            # batch_fast_path off for the scalar run: the injected RNG
-            # answers randrange(), which the per-event path draws from
-            # (the batched path replays getrandbits bit-for-bit, an
-            # equivalence tests/test_apply_many_property.py covers).
             config = ClustererConfig(
-                reservoir_capacity=1,
-                seed=17,
-                kernel=kernel,
-                strict=False,
-                batch_fast_path=(kernel == "numpy"),
+                reservoir_capacity=1, seed=17, kernel=kernel, strict=False
             )
             clusterer = StreamingGraphClusterer(config)
             if kernel == "numpy":
                 clusterer._reservoir._gen = _InjectedGenerator()
+                feed = clusterer.apply_many
             else:
+                # The scalar run goes through the per-event path: the
+                # injected RNG answers randrange(), which that path draws
+                # from (the batched path replays getrandbits bit-for-bit,
+                # an equivalence tests/test_apply_many_property.py covers).
                 clusterer._reservoir._rng = _InjectedRandom()
+                feed = clusterer.process
             samples = []
             for start in range(0, len(events), 128):
-                clusterer.apply_many(events[start : start + 128])
+                feed(events[start : start + 128])
                 samples.append(sorted(clusterer.reservoir_edges()))
             return clusterer, samples
 
