@@ -31,8 +31,9 @@ Methodology (see docs/performance.md):
 Expected shape: the scalar kernel pays mostly for its own per-event
 apply loop, so the wire adds a modest fraction; the numpy kernel is
 fast enough that only the (vectorized) decode and queue hops are left
-to pay, and the tax drops to single digits. Concurrent tenants share
-one drain loop, so aggregate throughput saturates rather than scales.
+to pay, and the tax drops to single digits. Concurrent tenants each
+have a drain thread, but the threads share one GIL, so aggregate
+throughput saturates rather than scales.
 """
 
 import gc
@@ -202,7 +203,7 @@ def test_e14_serve(benchmark):
                 "tax_pct": round(tax[kernel], 1),
             })
 
-        # Aggregate scaling under the shared drain loop (numpy kernel —
+        # Aggregate scaling under the shared GIL (numpy kernel —
         # the wire path's steady-state deployment shape).
         for tenants in TENANT_COUNTS:
             sock = os.path.join(tmp, f"multi{tenants}.sock")

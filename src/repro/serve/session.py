@@ -3,8 +3,8 @@
 A :class:`TenantSession` owns one clusterer (a
 :class:`~repro.core.clusterer.StreamingGraphClusterer`, or a
 :class:`~repro.core.pipeline.PipelineClusterer` when the service runs
-with worker processes), a bounded FIFO ingest queue, and a single drain
-task that applies event batches and answers queries **in arrival
+with worker processes), a bounded FIFO ingest queue, and one drain
+thread that applies event batches and answers queries **in arrival
 order**. That ordering is the whole consistency story:
 
 * any number of connections may feed the same tenant — their batches
@@ -14,11 +14,21 @@ order**. That ordering is the whole consistency story:
   applied, giving the same FIFO-barrier semantics the pipeline's
   control channel provides over pipes.
 
-The queue is **bounded** (``queue_depth`` batches): when a tenant's
-producers outrun its drain task, ``enqueue_events`` suspends, the
+Thread model: the server's event loop reads sockets, decodes frames,
+enqueues items and writes replies; the tenant's drain thread
+(``drain:<tenant>``) takes items off the queue, applies batches back to
+back, computes query replies, and on shutdown writes the final
+checkpoint and reaps pipeline workers. After construction only that
+thread touches the clusterer. Replies and freed queue slots travel back
+to the loop through ``call_soon_threadsafe``. No executor is shared
+between tenants, so a tenant whose applies block holds only its own
+thread; all drain threads still share one interpreter lock.
+
+The queue is **bounded** (``queue_depth`` items): when a tenant's
+producers outrun its drain thread, ``enqueue_events`` suspends, the
 server stops reading that connection's socket, and the kernel's TCP
 flow control pushes back on the producer. Other tenants have their own
-queues and drain tasks and are unaffected — a slow or stalled tenant
+queues and drain threads and are unaffected — a slow or stalled tenant
 can never wedge the daemon.
 
 Durability rides on :mod:`repro.persist`: a session with a checkpoint
@@ -39,6 +49,8 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import os
+import queue
+import threading
 import time
 import warnings
 from typing import Optional
@@ -51,6 +63,7 @@ from repro.errors import CheckpointError, ServiceError
 from repro.obs import metrics as _obs
 from repro.persist import PeriodicCheckpointer, load_checkpoint
 from repro.streams.events import concat_event_batches
+from repro.util.validation import check_positive
 
 __all__ = ["TenantSession"]
 
@@ -62,12 +75,14 @@ _STOP = 2
 
 
 class TenantSession:
-    """One tenant's clusterer, ingest queue, drain task, and metrics.
+    """One tenant's clusterer, ingest queue, drain thread, and metrics.
 
-    Construct, then ``await start()`` from the server's event loop.
-    ``enqueue_events`` and ``query`` are the only entry points
-    connections use; ``close`` drains the queue, writes the final
-    checkpoint, and reaps pipeline workers.
+    Construct, then ``await start()`` from the server's event loop; it
+    starts the drain thread, which from then on is the only thread that
+    touches :attr:`clusterer`. ``enqueue_events`` and ``query`` are the
+    only entry points connections use (coroutines on the loop);
+    ``close`` drains the queue, has the drain thread write the final
+    checkpoint and reap pipeline workers, and waits for it to exit.
     """
 
     def __init__(
@@ -84,6 +99,7 @@ class TenantSession:
         ingest_delay: float = 0.0,
         kernel: Optional[str] = None,
     ) -> None:
+        check_positive("queue_depth", queue_depth)  # 0 slots: puts never return
         self.tenant_id = tenant_id
         if kernel is not None and kernel != config.kernel:
             # A client's HELLO may pin the batch kernel for its tenant;
@@ -95,11 +111,21 @@ class TenantSession:
         self.workers = int(workers)
         self.batch_size = int(batch_size)
         self.checkpoint_path = checkpoint_path
-        self._ingest_delay = ingest_delay  # testing aid: slow this tenant's drain
+        # Testing aid: the drain thread sleeps this long before each
+        # apply, modelling a slow clusterer.
+        self._ingest_delay = ingest_delay
         self._closing = False
-        self._queue: asyncio.Queue = asyncio.Queue(maxsize=queue_depth)
-        self._task: Optional[asyncio.Task] = None
-        self.pending_events = 0  # queued but not yet applied (queue lag)
+        # Items go in on the loop and come out on the drain thread; the
+        # semaphore bounds them (one slot per item) and lives on the loop.
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._slots = asyncio.Semaphore(queue_depth)
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._thread: Optional[threading.Thread] = None
+        self._stopped: Optional[asyncio.Future] = None
+        # Queue lag is put - drained; each counter has one writer
+        # thread (the loop and the drain thread respectively).
+        self._events_put = 0
+        self._events_drained = 0
         self.events_applied = 0
         self.batches_applied = 0
         self.batches_coalesced = 0
@@ -188,11 +214,14 @@ class TenantSession:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "TenantSession":
-        """Start the drain task (idempotent)."""
-        if self._task is None:
-            self._task = asyncio.get_running_loop().create_task(
-                self._drain(), name=f"drain:{self.tenant_id}"
+        """Start the drain thread (idempotent)."""
+        if self._thread is None:
+            self._loop = asyncio.get_running_loop()
+            self._stopped = self._loop.create_future()
+            self._thread = threading.Thread(
+                target=self._run, name=f"drain:{self.tenant_id}", daemon=True
             )
+            self._thread.start()
         return self
 
     async def close(self, *, checkpoint: bool = True) -> None:
@@ -200,23 +229,21 @@ class TenantSession:
 
         The stop sentinel queues *behind* all accepted items, so every
         event and query admitted before the shutdown began is applied
-        or answered. With ``checkpoint`` a final state save follows, so
-        the checkpoint on disk reflects exactly the drained stream.
+        or answered. With ``checkpoint`` the drain thread then writes a
+        final state save, so the checkpoint on disk reflects exactly
+        the drained stream. A session never started gets its thread
+        here, so that save stays off the loop too.
         """
-        if self._closing and self._task is None:
+        if self._closing:
             return
         self._closing = True
-        task = self._task
-        self._task = None
-        if task is not None:
-            await self._queue.put((_STOP,))
-            await task
-        if checkpoint and self._checkpointer is not None:
-            await asyncio.to_thread(self._checkpointer.save)
-        if isinstance(self.clusterer, PipelineClusterer):
-            dropped_before = self.clusterer.dropped_events
-            await asyncio.to_thread(self.clusterer.close)
-            self._note_drops(self.clusterer.dropped_events - dropped_before)
+        await self.start()
+        await self._put((_STOP, checkpoint))
+        await self._stopped
+        self._thread.join()
+        # The loop and the drain thread both write the lag gauge, and
+        # their writes can land out of order; both are done now.
+        self._lag_gauge.set(self.pending_events)
 
     # ------------------------------------------------------------------
     # Ingest + queries (called from connection handlers)
@@ -235,25 +262,46 @@ class TenantSession:
             )
         if not events:
             return
-        self.pending_events += len(events)
+        await self._put((_EVENTS, events, time.monotonic()), len(events))
         self._lag_gauge.set(self.pending_events)
-        await self._queue.put((_EVENTS, events, time.monotonic()))
 
     async def query(self, op: bytes, payload: bytes) -> bytes:
         """Enqueue a barrier query; resolves with the reply payload."""
         future = asyncio.get_running_loop().create_future()
-        await self._queue.put((_QUERY, op, payload, future))
+        await self._put((_QUERY, op, payload, future))
         return await future
 
+    async def _put(self, item: tuple, events: int = 0) -> None:
+        await self._slots.acquire()
+        # Counted only once the batch has its slot: a reader cancelled
+        # while waiting for one leaves no lag behind.
+        self._events_put += events
+        self._queue.put(item)
+
+    @property
+    def pending_events(self) -> int:
+        """Events queued but not yet applied (queue lag)."""
+        return self._events_put - self._events_drained
+
     # ------------------------------------------------------------------
-    # Drain task
+    # Drain thread
     # ------------------------------------------------------------------
     def _apply(self, events) -> None:
-        """Apply one batch (runs in a worker thread)."""
+        """Apply one batch (drain thread)."""
         if self._checkpointer is not None:
             self._checkpointer.apply_many(events)
         else:
             self.clusterer.apply_many(events)
+
+    def _take(self, block: bool = True):
+        """Take the next item and hand its slot back to the loop."""
+        item = self._queue.get(block)
+        self._loop.call_soon_threadsafe(self._slots.release)
+        return item
+
+    def _reply(self, future: asyncio.Future, result, error=None) -> None:
+        """Resolve a loop future from the drain thread."""
+        self._loop.call_soon_threadsafe(_settle, future, result, error)
 
     def _coalesce(self, events, enqueued_at: float):
         """Merge adjacent queued event batches up to ``batch_size``.
@@ -261,7 +309,7 @@ class TenantSession:
         Small client frames would otherwise each pay a full
         ``apply_many`` (and, under ``--kernel numpy``, run the kernel on
         tiny arrays). Only *already queued* ``_EVENTS`` items merge —
-        the loop never waits — and a query or stop sentinel ends the
+        the drain never waits — and a query or stop sentinel ends the
         merge, preserving FIFO barrier semantics. The cap is strict: a
         batch that would push past ``batch_size`` is carried to the next
         drain iteration instead, so a client sending ``batch_size``-
@@ -269,7 +317,6 @@ class TenantSession:
         keeps served numpy partitions deterministic and equal to inline
         runs at the same boundaries).
         """
-        queue = self._queue
         limit = self.batch_size
         total = len(events)
         merged = None
@@ -277,10 +324,9 @@ class TenantSession:
         extra = 0
         while total < limit:
             try:
-                nxt = queue.get_nowait()
-            except asyncio.QueueEmpty:
+                nxt = self._take(block=False)
+            except queue.Empty:
                 break
-            queue.task_done()
             if nxt[0] != _EVENTS or total + len(nxt[1]) > limit:
                 carry = nxt
                 break
@@ -295,22 +341,29 @@ class TenantSession:
             self._coalesced_counter.inc(extra)
         return events, enqueued_at, carry
 
-    async def _drain(self) -> None:
-        queue = self._queue
+    def _run(self) -> None:
+        """The drain thread: its exit (or failure) resolves ``close``."""
+        error = None
+        try:
+            self._drain()
+        except Exception as exc:  # noqa: BLE001 - close() raises it
+            error = exc
+        self._reply(self._stopped, None, error)
+
+    def _drain(self) -> None:
         carried = None
         while True:
             if carried is not None:
                 item, carried = carried, None
             else:
-                item = await queue.get()
-                queue.task_done()
+                item = self._take()
             tag = item[0]
             if tag == _EVENTS:
                 events, enqueued_at, carried = self._coalesce(item[1], item[2])
                 if self._ingest_delay:
-                    await asyncio.sleep(self._ingest_delay)
+                    time.sleep(self._ingest_delay)
                 try:
-                    await asyncio.to_thread(self._apply, events)
+                    self._apply(events)
                     self.events_applied += len(events)
                     self.batches_applied += 1
                     self._events_counter.inc(len(events))
@@ -329,29 +382,39 @@ class TenantSession:
                         stacklevel=2,
                     )
                 finally:
-                    self.pending_events -= len(events)
+                    self._events_drained += len(events)
                     self._lag_gauge.set(self.pending_events)
             elif tag == _QUERY:
                 _, op, payload, future = item
-                if not future.done():
-                    try:
-                        result = await asyncio.to_thread(
-                            self._answer, op, payload
-                        )
-                    except Exception as error:  # noqa: BLE001
-                        future.set_exception(
-                            ServiceError(
-                                f"query failed: "
-                                f"{type(error).__name__}: {error}"
-                            )
-                        )
-                    else:
-                        future.set_result(result)
+                if future.done():  # the asking connection was cancelled
+                    continue
+                try:
+                    result = self._answer(op, payload)
+                except Exception as error:  # noqa: BLE001
+                    self._reply(
+                        future,
+                        None,
+                        ServiceError(
+                            f"query failed: {type(error).__name__}: {error}"
+                        ),
+                    )
+                else:
+                    self._reply(future, result)
             else:  # _STOP
+                self._finish(checkpoint=item[1])
                 return
 
+    def _finish(self, *, checkpoint: bool) -> None:
+        """Final checkpoint, then reap pipeline workers (drain thread)."""
+        if checkpoint and self._checkpointer is not None:
+            self._checkpointer.save()
+        if isinstance(self.clusterer, PipelineClusterer):
+            dropped_before = self.clusterer.dropped_events
+            self.clusterer.close()
+            self._note_drops(self.clusterer.dropped_events - dropped_before)
+
     def _answer(self, op: bytes, payload: bytes) -> bytes:
-        """Compute one query reply (runs in a worker thread)."""
+        """Compute one query reply (drain thread)."""
         from repro.serve.protocol import (
             OP_MEMBERSHIP,
             OP_METRICS,
@@ -395,8 +458,9 @@ class TenantSession:
     def metrics(self) -> dict:
         """The tenant's SLO view as a JSON-able dict.
 
-        Answered through the queue like any barrier query, so the
-        numbers reflect every event accepted before the request.
+        Answered on the drain thread like any barrier query, so the
+        numbers reflect every event accepted before the request, and
+        ``queue_lag_events`` counts exactly the events queued behind it.
         """
         elapsed = max(time.monotonic() - self._started, 1e-9)
         p99 = self._ingest_hist.quantile(0.99)
@@ -426,3 +490,13 @@ class TenantSession:
                 "last_saved_position": self._checkpointer.last_saved_position,
             }
         return info
+
+
+def _settle(future: asyncio.Future, result, error) -> None:
+    """Resolve ``future`` on its loop unless its waiter was cancelled."""
+    if future.done():
+        return
+    if error is None:
+        future.set_result(result)
+    else:
+        future.set_exception(error)

@@ -13,6 +13,7 @@ Three layers:
   graceful shutdown writes loadable per-tenant checkpoints.
 """
 
+import asyncio
 import os
 import signal
 import socket
@@ -26,6 +27,7 @@ import pytest
 
 from repro.core import ClustererConfig, StreamingGraphClusterer
 from repro.errors import ProtocolError, ServiceError
+from repro.obs import default_registry
 from repro.persist import load_checkpoint, save_checkpoint
 from repro.serve import ClusterService, ServiceClient
 from repro.serve.protocol import (
@@ -38,6 +40,7 @@ from repro.serve.protocol import (
     send_message,
     valid_tenant_id,
 )
+from repro.serve.session import TenantSession
 from repro.streams import EventColumns, planted_partition, insert_only_stream_raw
 from repro.streams.codec import (
     DeltaBatchDecoder,
@@ -412,6 +415,120 @@ class TestServiceSemantics:
             # The slow tenant eventually applied everything too (its
             # metrics call was a barrier behind all of its events).
             assert lag_seen == [0]
+
+    def test_blocked_tenants_beyond_executor_size_do_not_stall_others(
+        self, monkeypatch
+    ):
+        # More tenants block in apply than asyncio's default executor
+        # has threads; an idle tenant's barrier must still answer well
+        # within one blocking period.
+        block = 1.0
+        executor_threads = min(32, (os.cpu_count() or 1) + 4)
+        slow_tenants = executor_threads + 2
+        blocking = threading.Semaphore(0)
+        apply = TenantSession._apply
+
+        def _apply(self, events):
+            if self.tenant_id.startswith("slow"):
+                blocking.release()
+                time.sleep(block)
+            apply(self, events)
+
+        monkeypatch.setattr(TenantSession, "_apply", _apply)
+        events = _events()
+        service = ClusterService(_config())
+        with _RunningService(service) as running:
+            for index in range(slow_tenants):
+                with ServiceClient(
+                    running.endpoint, tenant=f"slow{index}"
+                ) as client:
+                    client.send_events(events[:10])
+            for _ in range(executor_threads):
+                assert blocking.acquire(timeout=30.0), "slow applies never began"
+            with ServiceClient(running.endpoint, tenant="idle") as client:
+                started = time.monotonic()
+                client.send_events(events[:1])
+                assert client.metrics()["events"] == 1
+                elapsed = time.monotonic() - started
+        assert elapsed < block / 2, f"idle tenant waited {elapsed:.3f} s"
+
+    def test_cancelled_enqueue_leaves_no_queue_lag(self):
+        # A reader blocked on a full queue and then cancelled (as
+        # shutdown cancels readers) must not leave its batch counted.
+        # batch_size=1 keeps the drain from merging the second batch
+        # into the first, which would free the third one's slot.
+        events = _events()
+
+        async def _scenario():
+            session = TenantSession(
+                "cancelled-enqueue", _config(), queue_depth=1,
+                batch_size=1, ingest_delay=0.2,
+            )
+            await session.start()
+            await session.enqueue_events(events[:1])  # drain holds it
+            await session.enqueue_events(events[1:2])  # fills the queue
+            blocked = asyncio.ensure_future(session.enqueue_events(events[2:3]))
+            await asyncio.sleep(0.05)
+            assert not blocked.done()
+            blocked.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await blocked
+            await session.close(checkpoint=False)
+            return session
+
+        session = asyncio.run(_scenario())
+        assert session.events_applied == 2
+        assert session.pending_events == 0
+        assert session.metrics()["queue_lag_events"] == 0
+        gauge = default_registry().gauge(
+            "serve.tenant.cancelled-enqueue.queue_lag_events"
+        )
+        assert gauge.value == 0
+
+    def test_concurrent_producers_on_one_tenant_account_every_event(self):
+        # Several connections feed one tenant through a two-slot queue
+        # while threads switch as often as they can; the loop and the
+        # drain thread must still account every event exactly once.
+        events = _events()
+        producers = 4
+        service = ClusterService(_config(), queue_depth=2, batch_size=64)
+        errors = []
+
+        def _produce(part):
+            try:
+                with ServiceClient(
+                    service.endpoint, tenant="shared", batch_size=16
+                ) as client:
+                    client.send_events(events[part::producers])
+                    client.metrics()
+            except Exception as error:  # noqa: BLE001 - report in main thread
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _RunningService(service) as running:
+                threads = [
+                    threading.Thread(target=_produce, args=(part,))
+                    for part in range(producers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not errors, errors
+                with ServiceClient(running.endpoint, tenant="shared") as client:
+                    metrics = client.metrics()
+        finally:
+            sys.setswitchinterval(interval)
+        assert metrics["events"] == len(events)
+        assert metrics["drops"] == 0
+        assert metrics["queue_lag_events"] == 0
+
+    def test_zero_queue_depth_is_refused(self):
+        with pytest.raises(ValueError, match="queue_depth"):
+            TenantSession("zero", _config(), queue_depth=0)
 
     def test_resume_tenant_across_service_restarts(self, tmp_path):
         config = _config()
