@@ -55,6 +55,8 @@ from itertools import islice
 from sys import getsizeof
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.connectivity.labels import ComponentLabels
 from repro.obs import metrics as _obs
 from repro.core.config import ClustererConfig, normalize_config
@@ -62,7 +64,7 @@ from repro.core.constraints import Unconstrained
 from repro.errors import StreamError, UnsupportedOperationError
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.intern import VertexInterner
-from repro.quality.partition import Partition
+from repro.quality.partition import Partition, int64_column
 from repro.sampling.random_pairing import PackedEdgeReservoir
 from repro.streams.events import (
     Edge,
@@ -157,6 +159,12 @@ class StreamingGraphClusterer:
         )
         # Cached cluster extraction, invalidated by structural changes.
         self._partition_cache: Optional[Partition] = None
+        # Every interned label as int64, indexed by id, while all of them
+        # are int64 ints; None for good once one is not (the table only
+        # grows). snapshot() fills in the labels interned since the first
+        # _labels_checked, doubling the column when it is full.
+        self._label_column: Optional[np.ndarray] = np.empty(0, np.int64)
+        self._labels_checked = 0
         #: Number of times a partition was actually (re)built by
         #: :meth:`snapshot` — a probe counter for cache-effectiveness
         #: tests and benchmarks; not part of the persisted state.
@@ -888,21 +896,51 @@ class StreamingGraphClusterer:
         """
         partition = self._partition_cache
         if partition is None:
-            label_of = self._intern.label_of
-            comp_get = self._settled().comp.get
-            # Singletons get ``~vid``, a negative label no component id
-            # can take.
-            partition = Partition(
-                {
-                    label_of(vid): comp_get(vid, ~vid)
-                    for vid in self._components.universe
-                }
+            components = self._settled()
+            universe = components.universe
+            comp = components.comp
+            vids = np.fromiter(universe, np.int64, len(universe))
+            # Cluster numbers in slots by id, only the universe's written:
+            # the component id, or ``~vid`` for a singleton, a negative
+            # label no component id can take.
+            numbers = np.empty(len(self._intern), np.int64)
+            numbers[vids] = ~vids
+            numbers[np.fromiter(comp, np.int64, len(comp))] = np.fromiter(
+                comp.values(), np.int64, len(comp)
             )
+            labels = self._int_label_column()
+            if labels is None:
+                vertices = list(map(self._intern._labels.__getitem__, universe))
+            else:
+                vertices = labels[vids]
+            partition = Partition(columns=(vertices, numbers[vids]))
             self._partition_cache = partition
             self.partition_builds += 1
             if _obs._ENABLED:
                 self.sync_metrics()
         return partition
+
+    def _int_label_column(self) -> Optional[np.ndarray]:
+        """Every interned label as int64, indexed by id, or None if one is
+        not an int within int64. Only the labels interned since the last
+        call are checked and converted, and the column grows by doubling,
+        so its copies add up to O(labels)."""
+        column = self._label_column
+        labels = self._intern._labels
+        checked = self._labels_checked
+        if column is not None and checked < len(labels):
+            fresh = int64_column(labels[checked:])
+            if fresh is None:
+                column = None
+            else:
+                if len(column) < len(labels):
+                    grown = np.empty(max(2 * len(column), len(labels)), np.int64)
+                    grown[:checked] = column[:checked]
+                    column = grown
+                column[checked:len(labels)] = fresh
+            self._label_column = column
+            self._labels_checked = len(labels)
+        return column
 
     def vertices(self) -> Iterable[Vertex]:
         """Iterate over all vertices the clusterer currently knows."""

@@ -214,14 +214,12 @@ def render_snapshot(partition: Partition) -> str:
     run's labels file directly.
     """
     vertices, sizes = partition.canonical_order()
-    # Vertex strings in the even slots and their cluster's "\t{index}\n"
-    # in the odd ones, formatted once per cluster: one join, no
-    # per-line formatting.
-    suffixes = np.array([f"\t{index}\n" for index in range(len(sizes))], dtype=object)
-    parts = [""] * (2 * len(vertices))
-    parts[0::2] = map(format, vertices)
-    parts[1::2] = np.repeat(suffixes, sizes).tolist()
-    return "".join(parts)
+    # One format call: the vertices in the even slots of its arguments
+    # and their cluster indices in the odd ones.
+    arguments = [None] * (2 * len(vertices))
+    arguments[0::2] = vertices
+    arguments[1::2] = np.repeat(np.arange(len(sizes)), sizes).tolist()
+    return ("%s\t%d\n" * len(vertices)) % tuple(arguments)
 
 
 def render_membership(members) -> str:

@@ -11,8 +11,10 @@ components of the sample from scratch through the public API.
 
 from __future__ import annotations
 
+import functools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -427,3 +429,28 @@ class TestNoReextractionWithoutStructuralChange:
         clusterer.snapshot()
         clusterer.snapshot()
         assert clusterer.partition_builds == 2
+
+    @pytest.mark.parametrize("kernel", ["scalar", "numpy"])
+    def test_every_build_calls_partition_init(self, monkeypatch, kernel):
+        # servebench's traced launcher times partition builds by wrapping
+        # Partition.__init__, so each build must construct through it.
+        calls = []
+        init = Partition.__init__
+
+        @functools.wraps(init)
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return init(*args, **kwargs)
+
+        monkeypatch.setattr(Partition, "__init__", counted)
+        clusterer = StreamingGraphClusterer(
+            ClustererConfig(reservoir_capacity=100, seed=0, strict=False, kernel=kernel)
+        )
+        clusterer.apply_many([(EventKind.ADD_EDGE, u, u + 1) for u in range(0, 40, 3)])
+        for probe in range(8):
+            # A one-edge probe between fresh vertices, then two reads.
+            clusterer.apply_many([(EventKind.ADD_EDGE, -2 * probe - 1, -2 * probe - 2)])
+            clusterer.snapshot()
+            clusterer.snapshot()
+        assert clusterer.partition_builds == 8
+        assert len(calls) == clusterer.partition_builds
