@@ -17,15 +17,17 @@ Reported per worker count W ∈ {1, 2, 4, 8}, over the E4 workload
   with ≥ W+1 free cores, where stages genuinely overlap;
 * host wall-clock, reported honestly.
 
-This host has a single core (same substitution as E7 — see DESIGN.md):
-all stages multiplex one core, so observed wall-clock cannot beat the
-baseline and the hardware-independent per-stage CPU times are the
-quantity the sweep records and gates on. The floor asserted below: at
-W = 4 the projected speedup must be ≥ 2× the single-process batched
-path, and the W = 4 pipeline partition must equal sequential sharded
-execution (the equivalence contract from ``tests/test_pipeline.py``).
+Wall-clock can overlap the W + 1 stages only as far as the host's
+cores allow (``host_cpus`` in the metadata; the committed run had 2
+vCPUs, so from W = 2 on the stages share them), so the
+hardware-independent per-stage CPU times are the quantity the sweep
+records and gates on. The floor asserted below: at W = 4 the projected
+speedup must be ≥ 2× the single-process batched path, and the W = 4
+pipeline partition must equal sequential sharded execution (the
+equivalence contract from ``tests/test_pipeline.py``).
 """
 
+import os
 import time
 
 from bench_common import dataset_events, finish
@@ -70,8 +72,9 @@ def test_e5b_pipeline_scaling(benchmark):
             "baseline": "single-process batched (batch=1024)",
             "baseline_cpu_seconds": round(baseline_cpu, 3),
             "baseline_wall_seconds": round(baseline_wall, 3),
-            "note": "1-core host: projected speedup is CPU-accounted "
-            "per stage; wall-clock cannot overlap here",
+            "host_cpus": os.cpu_count(),
+            "note": "projected speedup is CPU-accounted per stage; "
+            "wall-clock overlaps the stages only up to host_cpus",
         },
     )
 

@@ -319,23 +319,6 @@ class NumpyBatchKernel:
                 list(map(EVENT_KINDS.__getitem__, kinds.tolist())), us, vs
             )
 
-    def apply_interned(self, events: Iterable[Tuple[EventKind, int, int]]) -> None:
-        """Pre-interned ``(kind, uid, vid)`` edge tuples (pipeline workers),
-        ids in label-canonical orientation."""
-        if type(events) is not list:
-            events = list(events)
-        if not events:
-            return
-        kinds = list(map(_GET_KIND, events))
-        dels = _positions(kinds, _DELETE_EDGE)
-        if len(dels) + kinds.count(_ADD_EDGE) != len(kinds):
-            raise ValueError("interned batches may contain only edge events")
-        self._apply_segments(
-            np.asarray(list(map(_GET_U, events)), dtype=np.int64),
-            np.asarray(list(map(_GET_V, events)), dtype=np.int64),
-            dels,
-        )
-
     # ------------------------------------------------------------------
     # Splitting a batch
     # ------------------------------------------------------------------
@@ -370,17 +353,14 @@ class NumpyBatchKernel:
 
     def _apply_edges(self, dels: Sequence[int], us, vs) -> None:
         """Apply edge events in order; ``dels`` holds the ascending
-        positions of the ``DELETE_EDGE`` events, the rest are adds."""
-        lo, hi, error = self._intern_edges(us, vs, dels)
-        self._apply_segments(lo, hi, dels)
-        if error is not None:
-            raise error
+        positions of the ``DELETE_EDGE`` events, the rest are adds.
 
-    def _apply_segments(self, lo: np.ndarray, hi: np.ndarray, dels: Sequence[int]) -> None:
-        """Run each maximal add segment of interned id columns through
-        :meth:`_run` and apply each deletion between them in place.
-        Positions past the end of the columns (a truncated batch) are
-        ignored."""
+        Each maximal add segment runs through :meth:`_run`, and each
+        deletion between them is applied in place. A malformed event
+        truncates the interned columns; the positions past their end are
+        ignored and its error is raised after the events before it.
+        """
+        lo, hi, error = self._intern_edges(us, vs, dels)
         n = int(lo.size)
         start = 0
         for d in dels:
@@ -392,6 +372,8 @@ class NumpyBatchKernel:
             start = d + 1
         if start < n:
             self._run(lo[start:], hi[start:])
+        if error is not None:
+            raise error
 
     # ------------------------------------------------------------------
     # Interning

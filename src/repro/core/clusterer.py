@@ -31,8 +31,8 @@ point — reservoir, adjacency, component labels — works on dense
 int. Labels reappear only at the query/persistence boundary
 (:meth:`snapshot`, :meth:`cluster_members`, :meth:`get_state`). Interning
 order is first-appearance order of the canonicalized event stream, so
-all ingestion paths (per-event, batched, pipeline workers decoding
-interned frames) build the identical table and make RNG-identical
+all ingestion paths (per-event, batched, either kernel, inline or in a
+pipeline worker) build the identical table and make RNG-identical
 sampling decisions.
 
 Batched ingestion
@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from sys import getsizeof
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -270,35 +270,6 @@ class StreamingGraphClusterer:
                 return self
             self.apply(barrier)
 
-    def apply_interned_many(
-        self, events: Iterable[Tuple[EventKind, int, int]]
-    ) -> "StreamingGraphClusterer":
-        """Apply pre-interned **edge** events: ``(kind, uid, vid)`` tuples
-        whose endpoints are ids in this clusterer's :attr:`interner`, in
-        label-canonical orientation.
-
-        This is the pipeline worker's zero-rehydration entry point: the
-        frame decoder interns straight into the worker clusterer's table
-        and the ids flow through untouched. The result is identical to
-        applying the equivalent label events through :meth:`apply_many`.
-        Vertex events are not accepted (their application is conditional
-        on label-space state; the pipeline handles them per-event).
-        """
-        if type(self.config.constraint) is not Unconstrained:
-            label_of = self._intern.label_of
-            for kind, uid, vid in events:
-                self.apply(EdgeEvent(kind, label_of(uid), label_of(vid)))
-            if _obs._ENABLED:
-                self.sync_metrics()
-            return self
-        if self._kernel is not None:
-            self._kernel.apply_interned(events)
-            if _obs._ENABLED:
-                self.sync_metrics()
-            return self
-        self._apply_edge_batch(iter(events), interned=True)
-        return self
-
     def process(
         self, events: Iterable[AnyEvent], batch_size: Optional[int] = None
     ) -> "StreamingGraphClusterer":
@@ -326,9 +297,7 @@ class StreamingGraphClusterer:
     # ------------------------------------------------------------------
     # Batched fast path
     # ------------------------------------------------------------------
-    def _apply_edge_batch(
-        self, iterator: Iterator[AnyEvent], interned: bool = False
-    ) -> Optional[EdgeEvent]:
+    def _apply_edge_batch(self, iterator: Iterator[AnyEvent]) -> Optional[EdgeEvent]:
         """Consume edge/vertex-add events until exhaustion or a barrier.
 
         Returns the barrier event (vertex deletion) still to be applied,
@@ -337,10 +306,6 @@ class StreamingGraphClusterer:
         the ``finally`` block, so an exception (strict-mode stream
         error, malformed input) leaves the clusterer exactly as the
         per-event path would.
-
-        With ``interned=True`` the events are ``(kind, uid, vid)`` edge
-        tuples over already-interned ids (pipeline workers); labels are
-        then never touched, and non-edge kinds are rejected.
         """
         reservoir = self._reservoir
         reservoir_delete = reservoir.delete
@@ -383,30 +348,25 @@ class StreamingGraphClusterer:
                 else:
                     kind, u, v = event.kind, event.u, event.v
                 if kind is kind_add:
-                    if interned:
-                        uid = u
-                        vid = v
-                    else:
-                        if u == v:
-                            raise ValueError(
-                                f"self-loop edges are not allowed: ({u!r}, {v!r})"
-                            )
-                        try:
-                            if v < u:
-                                u, v = v, u
-                        except TypeError:
-                            if repr(v) < repr(u):
-                                u, v = v, u
-                        # Intern in label-canonical order *before* any
-                        # validity checks — the pipeline decoder interns
-                        # at decode time, so the inline paths must assign
-                        # ids for malformed edge events too.
-                        uid = iget(u)
-                        if uid is None:
-                            uid = iadd(u)
-                        vid = iget(v)
-                        if vid is None:
-                            vid = iadd(v)
+                    if u == v:
+                        raise ValueError(
+                            f"self-loop edges are not allowed: ({u!r}, {v!r})"
+                        )
+                    try:
+                        if v < u:
+                            u, v = v, u
+                    except TypeError:
+                        if repr(v) < repr(u):
+                            u, v = v, u
+                    # Intern in label-canonical order *before* any
+                    # validity check: the per-event path assigns ids to
+                    # a malformed edge's endpoints too.
+                    uid = iget(u)
+                    if uid is None:
+                        uid = iadd(u)
+                    vid = iget(v)
+                    if vid is None:
+                        vid = iadd(v)
                     n_events += 1
                     n_adds += 1
                     if gadj is not None:
@@ -501,26 +461,22 @@ class StreamingGraphClusterer:
                     if link(ku, kv):
                         n_merges += 1
                 elif kind is kind_del:
-                    if interned:
-                        uid = u
-                        vid = v
-                    else:
-                        if u == v:
-                            raise ValueError(
-                                f"self-loop edges are not allowed: ({u!r}, {v!r})"
-                            )
-                        try:
-                            if v < u:
-                                u, v = v, u
-                        except TypeError:
-                            if repr(v) < repr(u):
-                                u, v = v, u
-                        uid = iget(u)
-                        if uid is None:
-                            uid = iadd(u)
-                        vid = iget(v)
-                        if vid is None:
-                            vid = iadd(v)
+                    if u == v:
+                        raise ValueError(
+                            f"self-loop edges are not allowed: ({u!r}, {v!r})"
+                        )
+                    try:
+                        if v < u:
+                            u, v = v, u
+                    except TypeError:
+                        if repr(v) < repr(u):
+                            u, v = v, u
+                    uid = iget(u)
+                    if uid is None:
+                        uid = iadd(u)
+                    vid = iget(v)
+                    if vid is None:
+                        vid = iadd(v)
                     n_events += 1
                     n_deletes += 1
                     if graph is not None and not graph.remove_edge_ids(uid, vid):
@@ -543,10 +499,6 @@ class StreamingGraphClusterer:
                         if cut(ku, kv):
                             n_splits += 1
                 elif kind is kind_addv:
-                    if interned:
-                        raise ValueError(
-                            "interned batches may contain only edge events"
-                        )
                     if v is not None:
                         raise ValueError(f"{kind.value} event takes a single vertex")
                     n_events += 1
@@ -562,10 +514,6 @@ class StreamingGraphClusterer:
                 else:
                     # DELETE_VERTEX (or an unknown kind, which apply()
                     # rejects): a barrier for the per-event path.
-                    if interned:
-                        raise ValueError(
-                            "interned batches may contain only edge events"
-                        )
                     if type(event) is tuple:
                         event = EdgeEvent(kind, u, v)
                     barrier = event
@@ -673,10 +621,9 @@ class StreamingGraphClusterer:
                 "DELETE_VERTEX requires track_graph=True: a pure edge "
                 "reservoir cannot enumerate the incident edges to remove"
             )
-        # A vertex deletion never interns: the pipeline decoder leaves
-        # vertex events in label space for exactly this reason (a
-        # DELETE_VERTEX of an unknown vertex must not allocate an id, or
-        # inline and pipeline intern tables would diverge).
+        # A vertex deletion never interns: every shard receives a
+        # broadcast DELETE_VERTEX, and one for a vertex this clusterer
+        # never saw must not grow its intern table.
         uid = self._intern.id_of(v)
         if uid is None or not self._graph.has_vertex_id(uid):
             self._malformed(f"DELETE_VERTEX of absent vertex {v!r}")

@@ -7,12 +7,12 @@ claim, and it serves unbounded online streams::
 
     parent (producer stage)            worker processes (one per shard)
     ┌──────────────────────────┐       ┌───────────────────────────────┐
-    │ parse → canonicalize →   │ pipe  │ delta-decode + intern →       │
-    │ route (FNV-1a/splitmix64)│ ────► │ apply_interned_many /         │
-    │ → pack delta (v2) or     │       │ apply_many(columns) →         │
-    │   columnar (v3) frames   │       │ per-shard                     │
-    │   (per-shard persistent  │       │ StreamingGraphClusterer       │
-    │    tables)               │       │ (dense-id hot path)           │
+    │ parse → canonicalize →   │ pipe  │ DeltaBatchDecoder.decode →    │
+    │ route (FNV-1a/splitmix64)│ ────► │ apply_many(batch) on the      │
+    │ → pack delta (v2) or     │       │ per-shard                     │
+    │   columnar (v3) frames   │       │ StreamingGraphClusterer       │
+    │   (per-shard persistent  │       │ (interns, then runs its       │
+    │    tables)               │       │  batch kernel)                │
     └──────────────────────────┘       └───────────────────────────────┘
 
 * Workers are **long-lived** ``spawn`` processes; each owns exactly the
@@ -24,7 +24,10 @@ claim, and it serves unbounded online streams::
   ``tests/test_pipeline.py``).
 * Event batches travel as struct-packed frames
   (:mod:`repro.streams.codec`), not pickled per-event objects; parsing,
-  routing and clustering overlap instead of running in sequence.
+  routing and clustering overlap instead of running in sequence. A
+  worker decodes them as a served connection does, with one
+  :class:`~repro.streams.codec.DeltaBatchDecoder` per pipe, and applies
+  each decoded frame with one ``apply_many`` call.
 * Control messages (``SNAPSHOT``/``STATE``/``METRICS``/``STOP``) share
   the data pipes. Pipes are FIFO, so a control reply doubles as a
   barrier: when it arrives, every frame sent before it has been
@@ -63,10 +66,10 @@ from repro.obs import metrics as _obs
 from repro.quality.partition import Partition
 from repro.streams.codec import (
     DEFAULT_MAX_FRAME_BYTES,
-    FrameDecoder,
+    DeltaBatchDecoder,
     FrameEncoder,
 )
-from repro.streams.events import EdgeEvent, EventColumns, EventKind, Vertex
+from repro.streams.events import EventColumns, EventKind, Vertex
 from repro.util.validation import check_positive
 
 __all__ = ["PipelineClusterer", "SupervisorConfig"]
@@ -134,13 +137,12 @@ def _pipeline_worker(
 
     Frames arrive as delta frames against a connection-lifetime vertex
     table (``init_table`` primes it after a restart, matching the
-    parent's encoder snapshot). The decoder interns endpoints straight
-    into the shard clusterer's table, so edge runs are applied as dense
-    id tuples with zero label rehydration; vertex events take the
-    per-event path with the same strict-mode DELETE_VERTEX tolerance as
-    :class:`ShardedClusterer`. Per-shard state stays identical to
-    sequential sharded execution. Any exception is reported as an ``E``
-    reply and ends the process; the parent decides whether to respawn.
+    parent's encoder snapshot). Each frame decodes to one label batch
+    for ``apply_many``, so the shard's stream is split exactly as the
+    producer framed it, and the scalar kernel's split invariance keeps
+    per-shard state identical to sequential sharded execution. Any
+    exception is reported as an ``E`` reply and ends the process; the
+    parent decides whether to respawn.
     """
     process_time = time.process_time
     try:
@@ -152,10 +154,10 @@ def _pipeline_worker(
             clusterer = StreamingGraphClusterer(
                 _shard_config(config, shard, num_shards)
             )
-        decoder = FrameDecoder(clusterer.interner, init_table)
+        decoder = DeltaBatchDecoder(init_table)
         conn.send_bytes(_REPLY_READY)
         strict = clusterer.config.strict
-        delete_vertex = EventKind.DELETE_VERTEX
+        graph = clusterer.graph
         events_applied = 0
         busy = 0.0
         while True:
@@ -163,36 +165,20 @@ def _pipeline_worker(
             op = message[:1]
             if op == _OP_BATCH:
                 start = process_time()
-                for segment in decoder.decode(memoryview(message)[1:]):
-                    if segment.__class__ is list:
-                        # Interned edge run — the zero-rehydration path.
-                        events_applied += len(segment)
-                        clusterer.apply_interned_many(segment)
-                        continue
-                    if segment.__class__ is EventColumns:
-                        # Columnar (v3) frame: the whole block feeds the
-                        # batch kernel (or the scalar fallback inside
-                        # apply_many) without per-event rehydration.
-                        events_applied += len(segment)
-                        clusterer.apply_many(segment)
-                        continue
-                    events_applied += 1
-                    kind = segment[0]
-                    if kind is delete_vertex or kind is EventKind.ADD_VERTEX:
-                        if kind is delete_vertex and strict:
-                            # A vertex can be unknown to this shard; the
-                            # broadcast tolerates that (mirrors
-                            # ShardedClusterer.apply).
-                            graph = clusterer.graph
-                            if graph is not None and not graph.has_vertex(
-                                segment[1]
-                            ):
-                                continue
-                        clusterer.apply(EdgeEvent(kind, segment[1], None))
-                        continue
-                    # Label-space edge event (self-loop): the per-event
-                    # path raises the canonical error at this position.
-                    clusterer.apply_many((segment,))
+                batch = decoder.decode(memoryview(message)[1:])
+                events_applied += len(batch)
+                # The producer sends a vertex event alone in its frame. A
+                # strict shard skips a broadcast DELETE_VERTEX of a vertex
+                # it never saw, as ShardedClusterer.apply does.
+                if not (
+                    strict
+                    and graph is not None
+                    and type(batch) is list
+                    and len(batch) == 1
+                    and batch[0][0] is EventKind.DELETE_VERTEX
+                    and not graph.has_vertex(batch[0][1])
+                ):
+                    clusterer.apply_many(batch)
                 busy += process_time() - start
             elif op == _OP_SNAPSHOT:
                 payload = (list(clusterer.vertices()), clusterer.reservoir_edges())

@@ -13,12 +13,14 @@ hash trivially. Labels reappear only at the API boundary
 Determinism contract
 --------------------
 Ids are assigned in *first-appearance order* of the (canonicalized)
-event stream, so two runs consuming the same events — per-event,
-batched, or a pipeline worker decoding interned frames — build the
-identical table. The table round-trips through
-:meth:`get_state`/:meth:`from_state` so a restored clusterer keeps its
-exact label↔id mapping and future checkpoints stay byte-identical to an
-uninterrupted run's.
+event stream, so two runs consuming the same events — per-event or
+batched, on either kernel, inline, in a pipeline worker or in a served
+tenant — build the identical table. Every one of them hands labels to
+the clusterer, the only place they are interned: the wire codec
+(:mod:`repro.streams.codec`) ships labels, not ids. The table
+round-trips through :meth:`get_state`/:meth:`from_state` so a restored
+clusterer keeps its exact label↔id mapping and future checkpoints stay
+byte-identical to an uninterrupted run's.
 
 Ids are never reused: a deleted vertex keeps its id (the table is
 append-only). This is what makes checkpoint determinism trivial and

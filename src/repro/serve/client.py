@@ -115,9 +115,14 @@ class ServiceClient:
                     (endpoint[0], int(endpoint[1])), timeout=timeout
                 )
             else:
-                self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                self._sock.settimeout(timeout)
-                self._sock.connect(str(endpoint))
+                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                try:
+                    sock.settimeout(timeout)
+                    sock.connect(str(endpoint))
+                except OSError:
+                    sock.close()
+                    raise
+                self._sock = sock
         except OSError as error:
             raise ServiceError(
                 f"cannot connect to clustering service at {endpoint!r}: {error}"

@@ -32,24 +32,17 @@ Supported vertex types are ``int`` and ``str`` — exactly what the
 stream readers in :mod:`repro.streams.io` produce. Anything else (and
 ``bool``, which would silently collapse into ``0``/``1``) raises
 ``TypeError`` at encode time. Table lookups are by equality, so every
-*new* vertex value is type-checked as it is interned.
+*new* vertex value is type-checked as it enters the table.
 
-Two stateful readers mirror the encoder's table. Round-trip is exact
-(property-tested in ``tests/test_codec.py``), and a corrupt or
-truncated frame raises ``ValueError`` from either:
-
-* :class:`FrameDecoder` additionally *interns* vertices straight into a
-  :class:`~repro.graph.intern.VertexInterner` — edge endpoints and
-  ADD_VERTEX labels are assigned dense ids at decode time, in exactly
-  the order the sequential batch path would assign them, so a pipeline
-  worker applies edge runs as already-interned id tuples with zero
-  label rehydration on its hot path (see
-  ``StreamingGraphClusterer.apply_interned_many``).
-* :class:`DeltaBatchDecoder` is the interner-free sibling for consumers
-  that live *outside* a clusterer process — the streaming service
-  decodes client frames at the socket boundary into plain raw
-  ``(kind, u, v)`` label tuples and only then routes them onto a tenant
-  session.
+One stateful reader, :class:`DeltaBatchDecoder`, mirrors the encoder's
+table. It returns each frame as a batch of labels that
+``StreamingGraphClusterer.apply_many`` ingests as it is: the codec never
+interns, and labels become dense ids only inside the clusterer. Both
+consumers use it the same way, one reader per connection: a pipeline
+worker for the frames its producer sends down the pipe, and a served
+tenant's connection for the frames its client sends. Round-trip is
+exact (property-tested in ``tests/test_codec.py``), and a corrupt or
+truncated frame raises ``ValueError``.
 
 Columnar frames (version 3)
 ---------------------------
@@ -69,8 +62,8 @@ Eight bytes per event instead of twelve (the kind word is implied by
 the flag), and — decisively — the index blocks are ``np.frombuffer``
 *views* over the receive buffer: decoding a frame is two views, one
 vectorized gather through the cumulative label table, zero per-event
-Python. Both stateful decoders dispatch on the version byte, so v2 and
-v3 frames interleave freely on one connection; anything that is not an
+Python. The reader dispatches on the version byte, so v2 and v3 frames
+interleave freely on one connection; anything that is not an
 all-int ``ADD_EDGE`` run (deletions, vertex events, self-loops kept
 for error reporting) still travels as v2 frames. Decoded columns come
 back as :class:`~repro.streams.events.EventColumns` and keep the exact
@@ -117,7 +110,6 @@ __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
     "DEFAULT_MAX_WIRE_BYTES",
     "DeltaBatchDecoder",
-    "FrameDecoder",
     "FrameEncoder",
     "WIRE_MAGIC",
     "WIRE_VERSION",
@@ -250,9 +242,9 @@ class FrameEncoder:
 
     The vertex table is cumulative: a label is shipped (as a tagged
     entry) in the first frame that mentions it and addressed by its
-    ``u32`` table index forever after. The matching :class:`FrameDecoder`
-    must be primed with the same base table (``table()`` snapshots it
-    for checkpoint/respawn resynchronization).
+    ``u32`` table index forever after. The matching
+    :class:`DeltaBatchDecoder` must be primed with the same base table
+    (``table()`` snapshots it for checkpoint/respawn resynchronization).
 
     A failed :meth:`encode_batch` (unsupported vertex type, unknown
     kind) rolls the table back to its pre-call state, so the encoder
@@ -536,28 +528,45 @@ class FrameEncoder:
             start = i
 
 
-class _ColumnarDecodeMixin:
-    """Version-3 columnar decode shared by the stateful frame readers.
+class DeltaBatchDecoder:
+    """Stateful version-2/3 frame reader (one per connection).
 
-    Grows the same cumulative ``_labels`` table the version-2 path
-    grows, so v2 and v3 frames interleave freely on one connection. The
-    hot path keeps a lazily grown ``int64`` mirror of the label table;
-    as long as every label is an in-range int (the overwhelmingly common
-    case) the endpoint columns decode as two ``np.frombuffer`` views
-    plus one vectorized gather. The first non-int label permanently
-    drops the connection to a list gather — still columnar, just not
-    array-backed.
+    Mirrors a :class:`FrameEncoder`'s cumulative vertex table and
+    returns each frame as a batch
+    ``StreamingGraphClusterer.apply_many`` ingests as it is; labels stay
+    labels, and only the clusterer interns them. A version-3 columnar
+    frame becomes one :class:`EventColumns` batch. A version-2 frame of
+    at least :data:`_V2_COLUMNS_MIN_EVENTS` events becomes one too when
+    every event is an edge event and every label so far is an int:
+    int64 label arrays gathered through the table mirror plus an array
+    of :data:`~repro.streams.events.EVENT_KINDS` codes, which the numpy
+    kernel splits by kind without a per-event loop. Every other
+    version-2 frame decodes to plain ``(kind, u, v)`` label tuples. A
+    corrupt frame raises the same ``ValueError`` either way.
+
+    ``labels`` primes the table with a :meth:`FrameEncoder.table`
+    snapshot, so a reader that starts mid-connection (a respawned
+    pipeline worker) resynchronizes with its encoder.
+
+    The table mirror is a lazily grown ``int64`` copy of the label
+    table. As long as every label is an in-range int (the common case)
+    the endpoint columns decode as ``np.frombuffer`` views plus one
+    vectorized gather; the first label that is not drops the connection
+    to a list gather for good.
     """
 
-    __slots__ = ()
+    __slots__ = ("_labels", "_table_arr", "_table_mirrored", "_table_all_int")
 
-    def _init_column_cache(self) -> None:
+    def __init__(self, labels: Optional[Iterable] = None) -> None:
+        self._labels: List = list(labels) if labels is not None else []
         self._table_arr = None  # cached int64 mirror of _labels
         self._table_mirrored = 0  # labels mirrored so far
         self._table_all_int = True
 
-    def _register_fresh(self, fresh: List[object]) -> None:
-        self._labels.extend(fresh)
+    @property
+    def table_size(self) -> int:
+        """Cumulative vertex-table entry count."""
+        return len(self._labels)
 
     def _sync_table_array(self) -> bool:
         """Mirror new labels into the int64 cache; False once any label
@@ -611,7 +620,7 @@ class _ColumnarDecodeMixin:
                 f"corrupt event frame: {len(data) - offset - 8 * count} "
                 "trailing bytes"
             )
-        self._register_fresh(fresh)
+        self._labels.extend(fresh)
         table_count = len(self._labels)
         if not count:
             return EventColumns(us=[], vs=[])
@@ -628,190 +637,6 @@ class _ColumnarDecodeMixin:
         us = [labels[i] for i in u_idx.tolist()]
         vs = [labels[i] for i in v_idx.tolist()]
         return EventColumns(us=us, vs=vs)
-
-
-class FrameDecoder(_ColumnarDecodeMixin):
-    """Stateful version-2 frame reader (one per pipeline worker).
-
-    Mirrors a :class:`FrameEncoder`'s cumulative table and *interns*
-    vertices into the worker clusterer's
-    :class:`~repro.graph.intern.VertexInterner` at decode time.
-
-    :meth:`decode` returns *segments*: maximal runs of edge events as
-    lists of already-interned ``(kind, uid, vid)`` id tuples — fed
-    straight to ``StreamingGraphClusterer.apply_interned_many`` with
-    zero label rehydration — interleaved with single label-space
-    ``(kind, u, None)``/``(kind, u, v)`` tuples for everything that must
-    take the per-event path: vertex events, plus self-loop edge events,
-    which the decoder deliberately leaves uninterned so the per-event
-    path rejects them exactly as sequential ingestion would.
-
-    Intern order follows the sequential contract — walking the frame's
-    events in order, edge endpoints intern in label-canonical order and
-    ADD_VERTEX labels intern on sight (DELETE_VERTEX never interns) —
-    so a worker's intern table, and therefore its checkpoint bytes, are
-    identical to what the same shard stream would build inline.
-    """
-
-    __slots__ = (
-        "_interner",
-        "_labels",
-        "_ids",
-        "_table_arr",
-        "_table_mirrored",
-        "_table_all_int",
-    )
-
-    def __init__(self, interner, labels: Optional[Iterable] = None) -> None:
-        self._interner = interner
-        self._labels: List = []
-        self._ids: List[int] = []  # parallel to _labels; -1 = not interned yet
-        self._init_column_cache()
-        if labels is not None:
-            self._labels.extend(labels)
-            self._ids.extend([-1] * len(self._labels))
-
-    @property
-    def table_size(self) -> int:
-        """Cumulative vertex-table entry count."""
-        return len(self._labels)
-
-    def _register_fresh(self, fresh: List[object]) -> None:
-        self._labels.extend(fresh)
-        self._ids.extend([-1] * len(fresh))
-
-    def decode(self, data) -> List:
-        """Decode one delta frame into apply-ready segments.
-
-        A version-3 columnar frame decodes to a single
-        :class:`EventColumns` segment (the worker clusterer's batch
-        kernel interns those itself); version-2 frames decode to the
-        interned-run/label-tuple segments described above.
-        """
-        if len(data) and data[0] == COLUMNAR_CODEC_VERSION:
-            return [self._decode_columns(data)]
-        try:
-            version, new_count = _HEADER.unpack_from(data, 0)
-        except struct.error:
-            raise ValueError("corrupt event frame: truncated header") from None
-        if version != DELTA_CODEC_VERSION:
-            raise ValueError(
-                f"corrupt event frame: unsupported delta codec version "
-                f"{version} (this decoder reads {DELTA_CODEC_VERSION})"
-            )
-        labels = self._labels
-        ids = self._ids
-        offset = _HEADER.size
-        fresh: List[object] = []
-        try:
-            offset = _decode_entries(data, offset, new_count, fresh)
-            (count,) = _U32.unpack_from(data, offset)
-            offset += 4
-            flat = struct.unpack_from(f"<{3 * count}I", data, offset)
-        except (struct.error, IndexError, UnicodeDecodeError) as error:
-            raise ValueError(f"corrupt event frame: {error}") from None
-        if offset + 12 * count != len(data):
-            raise ValueError(
-                f"corrupt event frame: {len(data) - offset - 12 * count} "
-                "trailing bytes"
-            )
-        labels.extend(fresh)
-        ids.extend([-1] * len(fresh))
-        table_count = len(labels)
-        intern = self._interner.intern
-        kinds = EVENT_KINDS
-        edge_codes = _EDGE_CODES
-        no_vertex = _NO_VERTEX
-        add_vertex = EventKind.ADD_VERTEX
-        segments: List = []
-        run: List[Tuple[EventKind, int, int]] = []
-        for i in range(0, 3 * count, 3):
-            code, u_index, v_index = flat[i], flat[i + 1], flat[i + 2]
-            if code >= len(kinds):
-                raise ValueError(f"corrupt event frame: unknown kind code {code}")
-            if u_index >= table_count:
-                raise ValueError(
-                    f"corrupt event frame: vertex index {u_index} out of range"
-                )
-            if code in edge_codes:
-                if v_index >= table_count:
-                    raise ValueError(
-                        "corrupt event frame: edge event with missing or "
-                        f"out-of-range endpoint index {v_index}"
-                    )
-                u = labels[u_index]
-                v = labels[v_index]
-                if u == v:
-                    # Self-loop: emit label-space; the per-event path
-                    # raises the canonical ValueError at the right
-                    # stream position, and nothing is interned.
-                    if run:
-                        segments.append(run)
-                        run = []
-                    segments.append((kinds[code], u, v))
-                    continue
-                try:
-                    swap = v < u
-                except TypeError:
-                    swap = repr(v) < repr(u)
-                if swap:
-                    u_index, v_index = v_index, u_index
-                    u, v = v, u
-                uid = ids[u_index]
-                if uid < 0:
-                    uid = ids[u_index] = intern(u)
-                vid = ids[v_index]
-                if vid < 0:
-                    vid = ids[v_index] = intern(v)
-                run.append((kinds[code], uid, vid))
-                continue
-            if v_index != no_vertex:
-                raise ValueError(
-                    "corrupt event frame: vertex event carries a second "
-                    "endpoint"
-                )
-            if run:
-                segments.append(run)
-                run = []
-            kind = kinds[code]
-            label = labels[u_index]
-            if kind is add_vertex and ids[u_index] < 0:
-                ids[u_index] = intern(label)
-            segments.append((kind, label, None))
-        if run:
-            segments.append(run)
-        return segments
-
-
-class DeltaBatchDecoder(_ColumnarDecodeMixin):
-    """Stateful version-2/3 frame reader that yields raw label batches.
-
-    The interner-free counterpart of :class:`FrameDecoder`: it mirrors a
-    :class:`FrameEncoder`'s cumulative vertex table but performs no
-    interning and no segmentation — :meth:`decode` returns a batch
-    ``StreamingGraphClusterer.apply_many`` ingests as it is. A version-3
-    columnar frame becomes one :class:`EventColumns` batch. A version-2
-    frame of at least :data:`_V2_COLUMNS_MIN_EVENTS` events becomes one
-    too when every event is an edge event and every label so far is an
-    int: int64 label arrays gathered through the version-3 table mirror
-    plus an array of :data:`~repro.streams.events.EVENT_KINDS` codes,
-    which the numpy kernel splits by kind without a per-event loop.
-    Every other version-2 frame decodes to plain ``(kind, u, v)`` label
-    tuples. A corrupt frame raises the same ``ValueError`` either way.
-    The streaming service decodes client frames with one of these per
-    connection, so the session layer never sees wire bytes.
-    """
-
-    __slots__ = ("_labels", "_table_arr", "_table_mirrored", "_table_all_int")
-
-    def __init__(self, labels: Optional[Iterable] = None) -> None:
-        self._labels: List = list(labels) if labels is not None else []
-        self._init_column_cache()
-
-    @property
-    def table_size(self) -> int:
-        """Cumulative vertex-table entry count."""
-        return len(self._labels)
 
     def decode(self, data) -> Union[List[RawEvent], EventColumns]:
         """Decode one delta frame (table grows)."""

@@ -3,10 +3,11 @@
 Covers the PR-5 contracts end to end:
 
 * :class:`VertexInterner` determinism and state round-trips,
-* the stateful delta codec (``FrameEncoder``/``FrameDecoder``) —
-  round-trip exactness, per-connection tables, decode-time interning in
-  sequential order, error rollback — including non-ASCII and
-  out-of-64-bit-range integer labels,
+* the stateful delta codec (``FrameEncoder``/``DeltaBatchDecoder``) —
+  round-trip exactness, per-connection tables, primed-table resync,
+  error rollback — including non-ASCII and out-of-64-bit-range integer
+  labels, and a pipeline worker's path (decode, then ``apply_many``)
+  ending in the inline state on both kernels,
 * version-1 (pre-intern) clusterer checkpoints loading into the
   format-2 clusterer,
 * pipeline and sequential sharded execution resuming *each other's*
@@ -34,8 +35,8 @@ from repro.sampling.random_pairing import (
     RandomPairingReservoir,
 )
 from repro.streams import insert_delete_stream, planted_partition
-from repro.streams.codec import DELTA_CODEC_VERSION, FrameDecoder, FrameEncoder
-from repro.streams.events import EdgeEvent, EventKind
+from repro.streams.codec import DELTA_CODEC_VERSION, DeltaBatchDecoder, FrameEncoder
+from repro.streams.events import EdgeEvent, EventColumns, EventKind
 
 ADD = EventKind.ADD_EDGE
 DEL = EventKind.DELETE_EDGE
@@ -98,118 +99,126 @@ class TestVertexInterner:
         assert (MAX_VERTEX_ID << 32) | MAX_VERTEX_ID < (1 << 64)
 
 
-def rehydrate(segments, interner):
-    """Label-space events from decoder segments (for comparisons)."""
-    events = []
-    for segment in segments:
-        if isinstance(segment, list):
-            for kind, uid, vid in segment:
-                events.append(
-                    (kind, interner.label_of(uid), interner.label_of(vid))
-                )
-        else:
-            events.append(segment)
-    return events
-
-
 class TestDeltaCodec:
     def test_roundtrip_with_exotic_labels(self):
         encoder = FrameEncoder()
-        interner = VertexInterner()
-        decoder = FrameDecoder(interner)
+        decoder = DeltaBatchDecoder()
         stream = exotic_stream()
         frame = encoder.encode_batch(stream)
         assert frame[0] == DELTA_CODEC_VERSION
-        decoded = rehydrate(decoder.decode(frame), interner)
-        # Edge events come back in label-canonical orientation.
-        expected = [
-            (k, u, v) if v is None else (k,) + EdgeEvent(k, u, v).edge
-            for (k, u, v) in stream
-        ]
-        assert decoded == expected
+        # Labels come back exactly as sent: only the clusterer
+        # canonicalizes and interns them.
+        assert decoder.decode(frame) == stream
 
     def test_second_frame_ships_no_repeated_entries(self):
         encoder = FrameEncoder()
-        decoder = FrameDecoder(VertexInterner())
+        decoder = DeltaBatchDecoder()
         first = encoder.encode_batch([(ADD, "alpha", "beta")])
         table_after_first = encoder.table_size
         second = encoder.encode_batch([(DEL, "alpha", "beta")])
         assert encoder.table_size == table_after_first  # nothing new
         assert len(second) < len(first)  # no label bytes on the wire
         decoder.decode(first)
-        segments = decoder.decode(second)
+        assert decoder.decode(second) == [(DEL, "alpha", "beta")]
         assert decoder.table_size == encoder.table_size
-        assert len(segments) == 1 and len(segments[0]) == 1
 
     def test_primed_tables_resync(self):
+        """A respawned pipeline worker primes its reader with the
+        encoder's table snapshot; later v2 and v3 frames address the
+        primed entries."""
         base = ["u", "v", 12]
         encoder = FrameEncoder(base)
-        interner = VertexInterner()
-        decoder = FrameDecoder(interner, base)
+        decoder = DeltaBatchDecoder(encoder.table())
         frame = encoder.encode_batch([(ADD, "u", "w"), (ADD, 12, "v")])
-        decoded = rehydrate(decoder.decode(frame), interner)
-        # Edge events come back label-canonical (repr order across types).
-        assert decoded == [(ADD, "u", "w"), (ADD,) + EdgeEvent(ADD, 12, "v").edge]
+        assert decoder.decode(frame) == [(ADD, "u", "w"), (ADD, 12, "v")]
+        assert decoder.table_size == encoder.table_size
+        # An all-int primed table feeds the int64 column gather.
+        ints = FrameEncoder([7, 3, 12])
+        decoder = DeltaBatchDecoder(ints.table())
+        (frame,) = ints.encode_columns([3, 12, 40], [7, 3, 3])
+        columns = decoder.decode(frame)
+        assert columns.us.tolist() == [3, 12, 40]
+        assert columns.vs.tolist() == [7, 3, 3]
 
     def test_encoder_rolls_back_on_unsupported_label(self):
         encoder = FrameEncoder()
-        encoder.encode_batch([(ADD, "a", "b")])
+        decoder = DeltaBatchDecoder()
+        decoder.decode(encoder.encode_batch([(ADD, "a", "b")]))
         before = encoder.table()
         with pytest.raises(TypeError, match="int and str"):
             encoder.encode_batch([(ADD, "a", "c"), (ADD, ("t", 1), "d")])
         assert encoder.table() == before  # staged entries rolled back
-        # The encoder is still usable and in sync with a fresh decoder.
-        interner = VertexInterner()
-        decoder = FrameDecoder(interner, before)
+        # The encoder is still usable and in sync with the reader.
         frame = encoder.encode_batch([(ADD, "a", "c")])
-        assert rehydrate(decoder.decode(frame), interner) == [(ADD, "a", "c")]
+        assert decoder.decode(frame) == [(ADD, "a", "c")]
+        assert decoder.table_size == encoder.table_size
 
     def test_encode_batches_split_roundtrip(self):
         encoder = FrameEncoder()
-        interner = VertexInterner()
-        decoder = FrameDecoder(interner)
+        decoder = DeltaBatchDecoder()
         stream = [(ADD, f"vertex-{i}", f"vertex-{i + 1}") for i in range(200)]
         frames = list(encoder.encode_batches(stream, max_bytes=512))
         assert len(frames) > 1
         assert all(len(frame) <= 512 for frame in frames)
         decoded = []
         for frame in frames:
-            decoded.extend(rehydrate(decoder.decode(frame), interner))
-        assert decoded == [(k,) + EdgeEvent(k, u, v).edge for k, u, v in stream]
+            decoded.extend(decoder.decode(frame))
+        assert decoded == stream
 
     def test_self_loop_stays_label_space(self):
-        encoder = FrameEncoder()
-        interner = VertexInterner()
-        decoder = FrameDecoder(interner)
-        segments = decoder.decode(
-            encoder.encode_batch([(ADD, "a", "b"), (ADD, "x", "x")])
-        )
-        assert isinstance(segments[0], list)
-        assert segments[1] == (ADD, "x", "x")
-        assert "x" not in interner  # never interned
+        """A self-loop decodes as labels; applying its frame raises the
+        per-event path's error after the events before it, and interns
+        nothing from the loop, on either kernel."""
+        frame = FrameEncoder().encode_batch([(ADD, "a", "b"), (ADD, "x", "x")])
+        batch = DeltaBatchDecoder().decode(frame)
+        assert batch == [(ADD, "a", "b"), (ADD, "x", "x")]
+        for kernel in ("scalar", "numpy"):
+            clusterer = StreamingGraphClusterer(
+                ClustererConfig(reservoir_capacity=8, kernel=kernel)
+            )
+            with pytest.raises(ValueError, match="self-loop"):
+                clusterer.apply_many(batch)
+            assert clusterer.interner.labels() == ["a", "b"]
+            assert clusterer.stats.edge_adds == 1
 
-    def test_decode_time_interning_matches_inline_order(self):
-        config = ClustererConfig(reservoir_capacity=8, seed=3, strict=False)
-        inline = StreamingGraphClusterer(config)
-        inline.apply_many(exotic_stream())
-
-        worker = StreamingGraphClusterer(config)
-        encoder = FrameEncoder()
-        decoder = FrameDecoder(worker.interner)
-        for segment in decoder.decode(encoder.encode_batch(exotic_stream())):
-            if isinstance(segment, list):
-                worker.apply_interned_many(segment)
-            else:
-                worker.apply_many((segment,))
-        assert worker.interner.labels() == inline.interner.labels()
-        assert worker.get_state() == inline.get_state()
+    def test_worker_path_matches_inline(self):
+        """Frames decoded by DeltaBatchDecoder and applied with
+        apply_many, a pipeline worker's path, end in the state of an
+        inline clusterer fed the same batches, on either kernel: exotic
+        labels decode to tuples, 100-event int frames to kind columns,
+        and an all-ADD run to version-3 columns."""
+        churn = [(event.kind, event.u, event.v) for event in churn_events()]
+        run = [(ADD, 100 + i, 101 + i) for i in range(80)]
+        forms = set()
+        for kernel in ("scalar", "numpy"):
+            config = ClustererConfig(
+                reservoir_capacity=40, seed=3, strict=False, kernel=kernel
+            )
+            for stream in (exotic_stream() + run, churn + run):
+                inline = StreamingGraphClusterer(config)
+                worker = StreamingGraphClusterer(config)
+                encoder = FrameEncoder()
+                decoder = DeltaBatchDecoder()
+                tail = len(stream) - len(run)
+                for start in range(0, tail, 100):
+                    batch = stream[start : min(start + 100, tail)]
+                    inline.apply_many(batch)
+                    decoded = decoder.decode(encoder.encode_batch(batch))
+                    forms.add(type(decoded))
+                    worker.apply_many(decoded)
+                inline.apply_many(run)
+                (frame,) = encoder.encode_columns(
+                    [u for _, u, _ in run], [v for _, _, v in run]
+                )
+                worker.apply_many(decoder.decode(frame))
+                assert worker.get_state() == inline.get_state(), kernel
+        assert forms == {list, EventColumns}
 
     def test_rejects_stateless_v1_frames(self):
         frame = bytearray(FrameEncoder().encode_batch([(ADD, "a", "b")]))
         frame[0] = 1  # the retired stateless format's version byte
-        decoder = FrameDecoder(VertexInterner())
         with pytest.raises(ValueError, match="delta codec version"):
-            decoder.decode(bytes(frame))
+            DeltaBatchDecoder().decode(bytes(frame))
 
 
 def churn_events():

@@ -32,6 +32,9 @@ from repro.util.faults import CrashShard, HangShard
 CONFIG = ClustererConfig(
     reservoir_capacity=60, seed=9, strict=False, constraint=MaxClusterSize(40)
 )
+# A constraint sends every worker event through the per-event path;
+# without one the workers run the batched loop.
+UNCONSTRAINED = ClustererConfig(reservoir_capacity=60, seed=9, strict=False)
 FAST = SupervisorConfig(timeout=20.0, max_attempts=3, backoff=0.01)
 # A 3-worker pipeline takes well under a second to start on a 2-vCPU
 # VM; 5 s leaves room for a loaded host and still cuts a 60-s hang.
@@ -50,22 +53,29 @@ def events():
 
 @pytest.fixture(scope="module")
 def sequential(events):
-    """Sequential sharded reference results, one per worker count."""
+    """Sequential sharded reference results, one per config and worker
+    count."""
     cache = {}
 
-    def build(workers: int) -> ShardedClusterer:
-        if workers not in cache:
-            cache[workers] = ShardedClusterer(CONFIG, num_shards=workers).process(
+    def build(workers: int, config: ClustererConfig = CONFIG) -> ShardedClusterer:
+        key = (workers, id(config))
+        if key not in cache:
+            cache[key] = ShardedClusterer(config, num_shards=workers).process(
                 list(events), batch_size=64
             )
-        return cache[workers]
+        return cache[key]
 
     return build
 
 
-def make_pipeline(workers, **kwargs) -> PipelineClusterer:
+def make_pipeline(workers, config=CONFIG, **kwargs) -> PipelineClusterer:
     kwargs.setdefault("supervisor", FAST)
-    return PipelineClusterer(CONFIG, workers, **kwargs)
+    return PipelineClusterer(config, workers, **kwargs)
+
+
+# (workers, batch_events, max_frame_bytes); 128-byte frames force codec
+# splits.
+_SWEEP = [(1, 7, 256 * 1024), (2, 1, 256 * 1024), (3, 64, 256 * 1024), (3, 1000, 128)]
 
 
 def test_inlined_routing_matches(events):
@@ -94,20 +104,22 @@ def test_inlined_routing_matches(events):
 
 class TestEquivalence:
     @pytest.mark.parametrize(
-        "workers,batch_events,max_frame_bytes",
-        [
-            (1, 7, 256 * 1024),
-            (2, 1, 256 * 1024),
-            (3, 64, 256 * 1024),
-            (3, 1000, 128),  # tiny frames force codec splits
+        "config,workers,batch_events,max_frame_bytes",
+        [pytest.param(CONFIG, *case, id="-".join(map(str, case))) for case in _SWEEP]
+        + [
+            pytest.param(
+                UNCONSTRAINED, *case, id="unconstrained-" + "-".join(map(str, case))
+            )
+            for case in _SWEEP
         ],
     )
     def test_matches_sequential_sharded(
-        self, tmp_path, events, sequential, workers, batch_events, max_frame_bytes
+        self, tmp_path, events, sequential, config, workers, batch_events,
+        max_frame_bytes,
     ):
-        reference = sequential(workers)
+        reference = sequential(workers, config)
         with make_pipeline(
-            workers, batch_events=batch_events, max_frame_bytes=max_frame_bytes
+            workers, config, batch_events=batch_events, max_frame_bytes=max_frame_bytes
         ) as pipe:
             pipe.process(list(events))
             assert pipe.snapshot() == reference.snapshot()
@@ -116,6 +128,37 @@ class TestEquivalence:
             pipe_path = tmp_path / "pipe.rpk"
             save_checkpoint(reference, seq_path, position=len(events))
             save_checkpoint(pipe, pipe_path, position=len(events))
+        assert seq_path.read_bytes() == pipe_path.read_bytes()
+
+    def test_strict_vertex_deletion_skips_shards_without_the_vertex(
+        self, tmp_path
+    ):
+        """Vertex 2 lives only in shard 1. The broadcast DELETE_VERTEX
+        reaches shards 0 and 2 too, and a strict shard skips it there, as
+        ShardedClusterer does, instead of failing its worker."""
+        config = ClustererConfig(reservoir_capacity=10, seed=4, strict=True)
+        add = EventKind.ADD_EDGE
+        stream = [
+            (add, 1, 2),
+            (add, 2, 3),
+            (add, 3, 4),
+            (add, 10, 11),
+            (EventKind.DELETE_VERTEX, 2, None),
+        ]
+        reference = ShardedClusterer(config, num_shards=3)
+        reference.apply_many(stream[:-1])
+        assert [shard.graph.has_vertex(2) for shard in reference.shards] == [
+            False, True, False,
+        ]
+        reference.apply_many(stream[-1:])
+        seq_path = tmp_path / "seq.rpk"
+        pipe_path = tmp_path / "pipe.rpk"
+        save_checkpoint(reference, seq_path, position=len(stream))
+        with make_pipeline(3, config) as pipe:
+            pipe.process(stream)
+            assert pipe.snapshot() == reference.snapshot()
+            save_checkpoint(pipe, pipe_path, position=len(stream))
+            assert pipe.shard_attempts == [1, 1, 1]
         assert seq_path.read_bytes() == pipe_path.read_bytes()
 
     def test_pipeline_checkpoint_restores_as_sharded(

@@ -3,7 +3,7 @@
 Three layers:
 
 * wire primitives — handshake and length-prefix framing round-trips,
-  the interner-free delta decoder;
+  the delta frame decoder;
 * protocol robustness — truncated/oversized/corrupt frames and bad
   handshakes are rejected *per connection* while the daemon and other
   tenants keep serving;
@@ -14,6 +14,7 @@ Three layers:
 """
 
 import asyncio
+import gc
 import os
 import signal
 import socket
@@ -21,6 +22,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -626,36 +628,47 @@ class TestServeCli:
         assert code == 2
         assert "cannot connect" in capsys.readouterr().err
 
+    def test_failed_unix_connect_closes_its_socket(self, tmp_path):
+        """The socket of a failed unix connect is closed, not left for
+        the garbage collector to report."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ServiceError, match="cannot connect"):
+                ServiceClient(str(tmp_path / "nope.sock"), tenant="x")
+            gc.collect()
+        leaks = [str(w.message) for w in caught if w.category is ResourceWarning]
+        assert leaks == []
+
     @pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
     def test_serve_sigint_exits_130_with_loadable_checkpoints(self, tmp_path):
         sock = str(tmp_path / "svc.sock")
         ckpt_dir = tmp_path / "ckpt"
         env = dict(os.environ, PYTHONPATH=SRC)
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve",
                 "--capacity", "400", "--seed", "7",
                 "--unix", sock, "--checkpoint-dir", str(ckpt_dir),
             ],
             env=env, stderr=subprocess.PIPE, text=True,
-        )
-        try:
-            deadline = time.monotonic() + 30.0
-            while not os.path.exists(sock):
-                assert proc.poll() is None, proc.stderr.read()
-                assert time.monotonic() < deadline, "daemon never bound"
-                time.sleep(0.05)
-            events = _events()
-            with ServiceClient(sock, tenant="alpha") as client:
-                client.send_events(events)
-                # Barrier: everything is applied before the signal.
-                assert client.metrics()["events"] == len(events)
-            proc.send_signal(signal.SIGINT)
-            code = proc.wait(timeout=30.0)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-        stderr = proc.stderr.read()
+        ) as proc:
+            try:
+                deadline = time.monotonic() + 30.0
+                while not os.path.exists(sock):
+                    assert proc.poll() is None, proc.stderr.read()
+                    assert time.monotonic() < deadline, "daemon never bound"
+                    time.sleep(0.05)
+                events = _events()
+                with ServiceClient(sock, tenant="alpha") as client:
+                    client.send_events(events)
+                    # Barrier: everything is applied before the signal.
+                    assert client.metrics()["events"] == len(events)
+                proc.send_signal(signal.SIGINT)
+                code = proc.wait(timeout=30.0)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+            stderr = proc.stderr.read()
         assert code == 130, stderr
         assert "Traceback" not in stderr
         assert "interrupted" in stderr

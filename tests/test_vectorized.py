@@ -480,17 +480,6 @@ def _columns(batch, arrays):
     )
 
 
-def _interned(clusterer, batch):
-    """``batch`` as ``(kind, uid, vid)`` tuples over the clusterer's
-    interner, interned lo-then-hi in event order like the label path."""
-    intern = clusterer.interner.intern
-    out = []
-    for kind, u, v in batch:
-        lo, hi = (u, v) if u < v else (v, u)
-        out.append((kind, intern(lo), intern(hi)))
-    return out
-
-
 def _feed(clusterer, events, form, batch=256):
     for start in range(0, len(events), batch):
         chunk = events[start : start + batch]
@@ -498,10 +487,8 @@ def _feed(clusterer, events, form, batch=256):
             clusterer.apply_many(chunk)
         elif form == "list_columns":
             clusterer.apply_many(_columns(chunk, arrays=False))
-        elif form == "array_columns":
-            clusterer.apply_many(_columns(chunk, arrays=True))
         else:
-            clusterer.apply_interned_many(_interned(clusterer, chunk))
+            clusterer.apply_many(_columns(chunk, arrays=True))
     return clusterer
 
 
@@ -513,9 +500,7 @@ class TestKernelDeletions:
         settings.update(overrides)
         return ClustererConfig(**settings)
 
-    @pytest.mark.parametrize(
-        "form", ["tuples", "list_columns", "array_columns", "interned"]
-    )
+    @pytest.mark.parametrize("form", ["tuples", "list_columns", "array_columns"])
     def test_no_fallback(self, form):
         events = _mixed_events(3000, 250, seed=47, delete_rate=0.3)
         if form in ("tuples", "list_columns"):
@@ -533,7 +518,7 @@ class TestKernelDeletions:
         edges = _mixed_events(3000, 250, seed=53, delete_rate=0.3)
         with_vertices = _with_vertex_adds(edges, 250, seed=53)
         for events, forms in (
-            (edges, ["tuples", "list_columns", "array_columns", "interned"]),
+            (edges, ["tuples", "list_columns", "array_columns"]),
             (with_vertices, ["tuples", "list_columns"]),
         ):
             states = {
