@@ -1,76 +1,78 @@
-"""Array-at-a-time batch kernel (``--kernel numpy``).
+"""The batch kernel: the one batched ingestion path of both kernels.
 
-The scalar batch loop in :meth:`StreamingGraphClusterer._apply_edge_batch`
-canonicalizes, interns, packs, draws every reservoir decision and
-updates the component labels one event at a time in Python.
-:class:`NumpyBatchKernel` replaces that per-event work with whole-array
-phases. A batch of edge events is handled like this:
+:meth:`StreamingGraphClusterer.apply_many` hands every batch of an
+unconstrained configuration to :class:`BatchKernel`. A segment of edge
+events goes through these steps once, in this order:
 
-1. **Intern** — the batch's edge labels are interned once, in event
-   order: canonicalized with ``np.minimum/maximum`` and deduplicated
-   with ``np.unique``; the interner's dict is touched once per
-   batch-unique label, in exactly the scalar path's first-touch order
-   (lo-then-hi per event, event order), so both kernels build the
-   identical label table for the same stream.
-2. **Split by kind** — each maximal run of ``ADD_EDGE`` events goes
-   through the phases below; each ``DELETE_EDGE`` between two runs is
-   applied in place (step 6).
-3. **Graph + duplicate filter** — the tracked adjacency is updated in a
-   tight Python loop (dict-of-dict updates do not vectorize); duplicate
-   adds are dropped (or raise under ``strict``) with the scalar path's
-   exact error and partial-batch semantics.
-4. **Register** — endpoints not yet in the vertex universe are found by
-   one boolean gather against a registration bitmap and registered in
-   first-touch order.
-5. **Pack + sample** — ``(min_id << 32) | max_id`` keys feed
-   :meth:`NumpyPackedEdgeReservoir.insert_many`, which draws the whole
-   steady-state accept/evict run from a PCG64 generator in two
-   vectorized calls. The component labels are not updated per
-   admission: the run's admissions and evictions go into the kernel's
-   sample-change log instead (below).
-6. **Delete in place** — a deletion does what the per-event path does
-   (tracked-graph removal with the same strict/malformed handling,
-   ``reservoir.delete``, which is random-pairing counter arithmetic with
-   no random draw), except that a sampled edge leaving the sample goes
-   into the log instead of being cut. No resync, no rebuild.
+1. **Intern** — the labels become ids in the per-event path's
+   first-touch order (lo-then-hi per event, event order), so every path
+   builds the identical label table.
+2. **Tracked graph** — additions and deletions update the tracked
+   adjacency in event order. A duplicate addition or a deletion of an
+   absent edge is malformed: counted and skipped, or raised under
+   ``strict``.
+3. **Register** — endpoints of the additions not yet in the vertex
+   universe are registered in first-touch order.
+4. **Pack** — ``(min_id << 32) | max_id`` keys.
+5. **Sample** — the only step that differs by kernel. ``scalar``:
+   :meth:`PackedEdgeReservoir.update_many` walks the keys in event
+   order with the per-event path's exact Mersenne-Twister draws and
+   returns the sample changes in order; the kernel links and cuts each
+   one at once, so every counter is exact and every split of a stream
+   into batches is byte-identical to per-event processing. ``numpy``:
+   each run of additions between two deletions goes through
+   :meth:`NumpyPackedEdgeReservoir.insert_many`, which draws a whole
+   run in two vectorized calls, and each deletion through
+   ``reservoir.delete``; the changes go into the sample-change log
+   instead of the labels.
 
-The log holds the net change of the sample since the labels were last
-brought up to date: ``fresh`` keys are sampled but not linked, ``stale``
-keys are linked but no longer sampled. The next reader (a query, a
-per-event fallback) calls :meth:`NumpyBatchKernel.sync`, which cuts the
+A batch splits into segments at its vertex events. A segment of at
+least :data:`_SMALL_BATCH` int labels runs steps 1, 3 and 4 on whole
+arrays (``np.minimum/maximum``, a dense label→id cache or
+``np.unique``, a registration bitmap) and step 2 in a tight loop.
+Shorter batches and segments, and other labels, run steps 1 to 4 event
+by event in :meth:`BatchKernel._apply_small`. ``ADD_VERTEX`` registers
+in place; ``DELETE_VERTEX``, which needs current adjacency, is the only
+event that falls back to the per-event path
+(``kernel_fallback_events``).
+
+Errors keep the per-event prefix: when an event raises, the events
+before it are applied completely, the raising event is counted as the
+per-event path counts it, and the ids and vertex registrations only
+later events brought are forgotten. On the numpy kernel a duplicate
+sample key found inside ``insert_many`` stops the batch at the end of
+that run of additions, whose draws are all spent.
+
+The sample-change log (numpy only) holds the net change of the sample
+since the labels were last brought up to date: ``fresh`` keys are
+sampled but not linked, ``stale`` keys are linked but no longer
+sampled. The next reader calls :meth:`BatchKernel.sync`, which cuts the
 stale keys and links the fresh ones, O(changed keys) instead of
-O(sample). A log that grows past a quarter of the sample is dropped,
-and that read rebuilds the labels from the reservoir slots in one pass.
-
-``ADD_VERTEX`` events register in place too. ``DELETE_VERTEX`` is the
-only event that falls back to the per-event path
-(``kernel_fallback_events``), because it needs current adjacency; the
-fallback first brings the labels up to date through ``sync``.
-
-Statistics
-----------
-The kernel keeps no merge/split estimate: ``component_merges`` and
-``component_splits`` count only events applied on the per-event path
-(vertex deletions here; every event of a constrained configuration).
-A net diff cannot attribute merges or splits to events, so the links
-and cuts of a catch-up are not counted either.
-Every other counter (events, admissions, evictions, sample deletions,
-malformed, ...) is exact. An estimate folded in at read time would make
-the counters, and the checkpoint bytes, depend on when they were read.
-
-Error-path caveat: on a strict-mode :class:`StreamError` the kernel has
-already interned labels from later events in the same batch (interning
-is step 1). Ids are internal, and a batch aborted by a stream error is
-corrupt input anyway; partitions and equivalence are unaffected. A
-self-loop or an edge deletion without a second endpoint raises after the
-events before it are applied, with nothing after it interned, exactly
-like the per-event path.
+O(sample); a log past a quarter of the sample is dropped and that read
+rebuilds the labels in one pass. A net diff cannot attribute merges or
+splits to events, so on numpy ``component_merges`` and
+``component_splits`` count only events applied on the per-event path;
+its other counters are exact (docs/performance.md, "Statistics
+contract").
 """
 
 from __future__ import annotations
 
+import weakref
+from bisect import bisect_left
+from itertools import islice
 from operator import itemgetter
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -85,10 +87,22 @@ from repro.streams.events import EVENT_KINDS, EdgeEvent, EventKind
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.clusterer import StreamingGraphClusterer
 
-__all__ = ["NumpyBatchKernel"]
+__all__ = ["BatchKernel", "NumpyBatchKernel"]
 
 _U32 = np.uint64(32)
 _MASK32 = 0xFFFFFFFF
+
+#: Batches and segments of fewer events (and labels that are not all
+#: ints) intern, register and pack in plain Python. Numpy costs tens of
+#: microseconds per segment before the first event. This is the measured
+#: crossover, per event on clusterers fed int tuples (2-vCPU x86-64 VM),
+#: plain Python against the array steps. Warmed, on insert-only streams
+#: they met at 32 to 48 events on both kernels, tracked and lean (tracked
+#: scalar: 3.41 against 3.45 µs at 32, 2.97 against 2.44 at 64); with 30%
+#: deletions at 48 to 96 (3.00 against 3.12 µs at 64). On E4's stream,
+#: where a batch brings many new labels, plain Python stayed ahead up to
+#: about 128 (about 7% at 64).
+_SMALL_BATCH = 64
 
 #: The sample-change log is dropped once it holds more than
 #: ``len(sample) // _LOG_SHARE`` keys (a quarter of the sample); the
@@ -113,29 +127,26 @@ _DELETE_EDGE = EventKind.DELETE_EDGE
 #: array of edge events only the nonzero codes are the deletions.
 _DELETE_CODE = EVENT_KINDS.index(_DELETE_EDGE)
 
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
 
-
-def _positions(kinds: list, kind: EventKind) -> List[int]:
-    """Ascending positions of ``kind`` in ``kinds``."""
-    return [i for i, k in enumerate(kinds) if k is kind]
-
-
-class NumpyBatchKernel:
-    """Vectorized edge-event executor bound to one clusterer.
+class BatchKernel:
+    """Batch executor bound to one clusterer, for either kernel.
 
     Everything it touches is the clusterer's own state — reservoir,
     interner, tracked graph, component labels — so per-event processing
-    (vertex deletions, ``apply``) can interleave freely: :meth:`sync`
-    brings the component labels up to date with the sample before any
-    scalar code reads them.
+    (vertex deletions, ``apply``) can interleave freely. On the numpy
+    kernel :meth:`sync` brings the component labels up to date with the
+    sample before any per-event code reads them.
     """
 
     __slots__ = (
         "_c",
+        "_exact",
         "_registered",
         "_reg_epoch",
+        "_reg_count",
         "_label_map",
+        "_id_objects",
+        "_id_count",
         "_fresh",
         "_stale",
         "_overflow",
@@ -147,10 +158,26 @@ class NumpyBatchKernel:
     _LABEL_MAP_LIMIT = 1 << 22
 
     def __init__(self, clusterer: "StreamingGraphClusterer") -> None:
-        self._c = clusterer
+        # Weak: the clusterer owns its kernel, and a strong reference back
+        # would make every clusterer a cycle that outlives its last user
+        # until the cyclic collector runs.
+        self._c = weakref.ref(clusterer)
+        # Scalar kernel: sample with the exact per-event draws and keep
+        # the labels current; numpy: sample vectorized and log.
+        self._exact = clusterer.config.kernel == "scalar"
+        # Registration bitmap over ids, valid for one vertex epoch and
+        # caught up lazily with the registrations appended since
+        # (``_reg_count`` is how many of the universe's entries it holds).
         self._registered = np.zeros(256, dtype=bool)
         self._reg_epoch = -1  # force a rebuild on first use
+        self._reg_count = 0
         self._label_map = np.full(256, -1, dtype=np.int64)
+        # The interner's own int object for each id (the first
+        # ``_id_count`` entries are set), so ids that come out of an id
+        # array and go into a lasting dict (the tracked graph, the
+        # universe) share one object per id: ``tolist`` makes new ints.
+        self._id_objects = np.empty(0, dtype=object)
+        self._id_count = 0
         # The sample-change log (module docstring), insertion-ordered
         # dicts of packed keys: sampled but not linked, linked but no
         # longer sampled. ``_overflow`` means the log was dropped.
@@ -170,7 +197,7 @@ class NumpyBatchKernel:
         """
         if self._overflow:
             self._overflow = False
-            c = self._c
+            c = self._c()
             c._components.rebuild(
                 (key >> 32, key & _MASK32) for key in c._reservoir
             )
@@ -179,7 +206,7 @@ class NumpyBatchKernel:
         stale = self._stale
         if not (fresh or stale):
             return
-        components = self._c._components
+        components = self._c()._components
         cut = components.cut
         for key in stale:
             cut(key >> 32, key & _MASK32)
@@ -232,7 +259,7 @@ class NumpyBatchKernel:
 
     def _bound_log(self) -> None:
         """Drop the log once replaying it would cost more than a rebuild."""
-        if (len(self._fresh) + len(self._stale)) * _LOG_SHARE > len(self._c._reservoir):
+        if (len(self._fresh) + len(self._stale)) * _LOG_SHARE > len(self._c()._reservoir):
             self._fresh.clear()
             self._stale.clear()
             self._overflow = True
@@ -246,21 +273,29 @@ class NumpyBatchKernel:
         """
 
     def _registration_bitmap(self) -> np.ndarray:
-        """Bitmap of ids in the vertex universe, epoch-validated."""
-        c = self._c
+        """Bitmap of the ids in the vertex universe.
+
+        Rebuilt when the clusterer's vertex epoch moved (a vertex left
+        the universe); otherwise grown to cover every id and caught up
+        with the registrations appended since the last call, which are
+        the newest entries of the insertion-ordered universe.
+        """
+        c = self._c()
+        universe = c._components.universe
         size = max(256, len(c._intern) + 1024)
         if self._reg_epoch != c._vertex_epoch:
             self._reg_epoch = c._vertex_epoch
             self._registered = np.zeros(size, dtype=bool)
-            universe = c._components.universe
-            if universe:
-                self._registered[
-                    np.fromiter(universe, dtype=np.int64, count=len(universe))
-                ] = True
+            self._reg_count = 0
         elif self._registered.size < len(c._intern):
             grown = np.zeros(size, dtype=bool)
             grown[: self._registered.size] = self._registered
             self._registered = grown
+        appended = len(universe) - self._reg_count
+        if appended:
+            newest = islice(reversed(universe), appended)
+            self._registered[np.fromiter(newest, dtype=np.int64, count=appended)] = True
+            self._reg_count = len(universe)
         return self._registered
 
     # ------------------------------------------------------------------
@@ -271,31 +306,21 @@ class NumpyBatchKernel:
         :class:`EdgeEvent` objects."""
         if type(events) is not list:
             events = list(events)
-        if not events:
+        if len(events) < _SMALL_BATCH or (
+            type(events[0]) is tuple and type(events[0][1]) is not int
+        ):
+            # Short, or not int-labelled: no step would run on arrays.
+            self._apply_small(events)
             return
-        kinds = None
-        if type(events[0]) is tuple:
+        try:
             # itemgetter gathers columns at C speed (cheaper than a
-            # zip(*...) transpose). EdgeEvent objects are not
-            # subscriptable, so a batch holding one takes the loop below.
-            try:
-                kinds = list(map(_GET_KIND, events))
-            except TypeError:
-                pass
-            else:
-                us = list(map(_GET_U, events))
-                vs = list(map(_GET_V, events))
-        if kinds is None:
-            kinds, us, vs = [], [], []
-            for event in events:
-                if type(event) is tuple:
-                    kind, u, v = event
-                else:
-                    kind, u, v = event.kind, event.u, event.v
-                kinds.append(kind)
-                us.append(u)
-                vs.append(v)
-        self._apply_kind_list(kinds, us, vs)
+            # zip(*...) transpose).
+            kinds = list(map(_GET_KIND, events))
+        except TypeError:
+            # EdgeEvent objects are not subscriptable.
+            events = [e if type(e) is tuple else (e.kind, e.u, e.v) for e in events]
+            kinds = list(map(_GET_KIND, events))
+        self._apply_kind_list(kinds, list(map(_GET_U, events)), list(map(_GET_V, events)))
 
     def apply_columns(self, kinds, us, vs) -> None:
         """Column-form entry (``EventColumns``).
@@ -304,10 +329,10 @@ class NumpyBatchKernel:
         :class:`EventKind`, or an integer array of ``EVENT_KINDS`` codes
         (the wire decode's form, split by kind with numpy). Label
         columns are lists from the stream readers or int64 arrays off
-        the wire decode; array columns skip the per-label type gate.
+        the wire decode.
         """
         if kinds is None:
-            self._apply_edges((), us, vs)
+            self._apply_edges([], us, vs)
         elif type(kinds) is list:
             self._apply_kind_list(kinds, us, vs)
         elif not kinds.size:
@@ -315,93 +340,292 @@ class NumpyBatchKernel:
         elif int(kinds.min()) >= 0 and int(kinds.max()) <= _DELETE_CODE:
             self._apply_edges(np.flatnonzero(kinds).tolist(), us, vs)
         else:
-            self._apply_kind_list(
-                list(map(EVENT_KINDS.__getitem__, kinds.tolist())), us, vs
-            )
+            self._apply_kind_list(list(map(EVENT_KINDS.__getitem__, kinds.tolist())), us, vs)
 
-    # ------------------------------------------------------------------
-    # Splitting a batch
-    # ------------------------------------------------------------------
     def _apply_kind_list(self, kinds: list, us, vs) -> None:
         """Apply columns whose kinds are a list of :class:`EventKind`:
-        edge events in bulk, vertex events one at a time between them."""
+        each run of edge events between two vertex events as one segment,
+        each vertex event on its own."""
         n = len(kinds)
         n_adds = kinds.count(_ADD_EDGE)
         if n_adds == n:
-            self._apply_edges((), us, vs)
+            self._apply_edges([], us, vs)
             return
-        dels = _positions(kinds, _DELETE_EDGE)
+        dels = [i for i, k in enumerate(kinds) if k is _DELETE_EDGE]
         if n_adds + len(dels) == n:
             self._apply_edges(dels, us, vs)
             return
         if type(us) is not list:
             us = us.tolist()
-        if type(vs) is not list:
             vs = vs.tolist()
-        start = 0
+        start = d = 0
         for i, kind in enumerate(kinds):
             if kind is _ADD_EDGE or kind is _DELETE_EDGE:
                 continue
             if start < i:
+                first = d
+                d = bisect_left(dels, i, d)
                 self._apply_edges(
-                    _positions(kinds[start:i], _DELETE_EDGE), us[start:i], vs[start:i]
+                    [p - start for p in dels[first:d]], us[start:i], vs[start:i]
                 )
             self._apply_vertex_event(kind, us[i], vs[i])
             start = i + 1
         if start < n:
-            self._apply_edges(_positions(kinds[start:], _DELETE_EDGE), us[start:], vs[start:])
+            self._apply_edges([p - start for p in dels[d:]], us[start:], vs[start:])
 
     def _apply_edges(self, dels: Sequence[int], us, vs) -> None:
-        """Apply edge events in order; ``dels`` holds the ascending
-        positions of the ``DELETE_EDGE`` events, the rest are adds.
+        """Apply a segment of edge events in order; ``dels`` holds the
+        ascending positions of the ``DELETE_EDGE`` events, the rest are
+        additions.
 
-        Each maximal add segment runs through :meth:`_run`, and each
-        deletion between them is applied in place. A malformed event
-        truncates the interned columns; the positions past their end are
-        ignored and its error is raised after the events before it.
+        A long segment of int labels (exactly ``int``: bools are
+        excluded, because ``True`` and ``1`` are distinct labels to a
+        dict but not to an array) or of int64 array columns runs each
+        step of the module docstring once, on whole arrays. Any other
+        segment takes :meth:`_apply_small`.
         """
-        lo, hi, error = self._intern_edges(us, vs, dels)
-        n = int(lo.size)
-        start = 0
-        for d in dels:
-            if d >= n:
-                break
-            if start < d:
-                self._run(lo[start:d], hi[start:d])
-            self._delete(int(lo[d]), int(hi[d]))
-            start = d + 1
-        if start < n:
-            self._run(lo[start:], hi[start:])
+        au = None
+        if len(us) >= _SMALL_BATCH:
+            if isinstance(us, np.ndarray):
+                au = np.asarray(us, dtype=np.int64)
+                av = np.asarray(vs, dtype=np.int64)
+            elif set(map(type, us)) == {int} == set(map(type, vs)):
+                try:
+                    au = np.asarray(us, dtype=np.int64)
+                    av = np.asarray(vs, dtype=np.int64)
+                except OverflowError:
+                    pass
+        if au is None:
+            kinds = [_ADD_EDGE] * len(us)
+            for d in dels:
+                kinds[d] = _DELETE_EDGE
+            if type(us) is not list:
+                us = us.tolist()
+                vs = vs.tolist()
+            self._apply_small(zip(kinds, us, vs))
+            return
+        c = self._c()
+        first_id = len(c._intern)
+        lo, hi, error = self._intern_int_pairs(au, av)
+        # ``stop`` events are consumed: all of them, or up to and
+        # including the first that raises.
+        stop = int(lo.size)
+        if not stop:
+            if error is not None:
+                raise error
+            return
+        if dels and dels[-1] >= stop:
+            dels = dels[: bisect_left(dels, stop)]
+        dropped: List[int] = []
+        if c._graph is not None:
+            ids = self._shared_ids()
+            dropped, stop, graph_error = self._graph_pass(
+                ids[lo].tolist(), ids[hi].tolist(), dels
+            )
+            if graph_error is not None:
+                error = graph_error
+                dels = dels[: bisect_left(dels, stop)]
+        fresh = self._register(lo[:stop], hi[:stop], dels, dropped)
+        keys, sample_dels, skip = self._pack(lo[:stop], hi[:stop], dels, dropped)
+        if self._exact:
+            c.kernel_batches += 1
+            changes, sampled, sample_error = c._reservoir.update_many(
+                keys.tolist(), sample_dels
+            )
+            if changes:
+                self._link(changes)
+        else:
+            sampled, sample_error = self._sample_logged(keys, sample_dels, skip)
+        if sample_error is not None:
+            # A sampling error needs a lean clusterer, which drops nothing:
+            # sampled positions are event positions.
+            stop = sampled + 1
+            error = sample_error
+        if error is not None:
+            self._forget(first_id, zip(lo[:stop].tolist(), hi[:stop].tolist()), dels, fresh)
+        stats = c.stats
+        n_dels = bisect_left(dels, stop)
+        stats.events += stop
+        stats.edge_adds += stop - n_dels
+        stats.edge_deletes += n_dels
+        if not c.config.strict:
+            stats.malformed_events += len(dropped)
+        c.kernel_events += stop
+        if fresh:
+            c._invalidate()
         if error is not None:
             raise error
+
+    def _apply_small(self, events) -> None:
+        """Apply a short batch of ``(kind, u, v)`` tuples or
+        :class:`EdgeEvent` objects in plain Python.
+
+        Steps 1 to 4 of the module docstring run event by event, with
+        the per-event path's checks in its order; the keys of each run of
+        edge events between two vertex events then go to the kernel's
+        sampler in one call. A raising event ends the batch after the
+        events before it are sampled; a sampling error also forgets what
+        the run's later events interned and registered.
+        """
+        c = self._c()
+        intern = c._intern
+        iget = intern._ids.get
+        iadd = intern.intern
+        labels = intern._labels
+        graph = c._graph
+        gadj = None if graph is None else graph._adj
+        strict = c.config.strict
+        exact = self._exact
+        universe = c._components.universe
+        stats = c.stats
+        add_edge = _ADD_EDGE
+        delete_edge = _DELETE_EDGE
+        events = iter(events)
+        while True:
+            keys: List[int] = []
+            dels: List[int] = []
+            skip: List[int] = []
+            fresh: List[int] = []
+            first_id = len(labels)
+            n_events = n_dels = n_malformed = g_vertices = g_edges = 0
+            error: Optional[BaseException] = None
+            vertex_event = None
+            try:
+                for event in events:
+                    if type(event) is tuple:
+                        kind, u, v = event
+                    else:
+                        kind, u, v = event.kind, event.u, event.v
+                    if kind is add_edge:
+                        add = True
+                    elif kind is delete_edge:
+                        add = False
+                        if v is None:
+                            error = ValueError(f"{kind.value} event requires two endpoints")
+                            break
+                    else:
+                        vertex_event = (kind, u, v)
+                        break
+                    if u == v:
+                        error = ValueError(f"self-loop edges are not allowed: ({u!r}, {v!r})")
+                        break
+                    try:
+                        if v < u:
+                            u, v = v, u
+                    except TypeError:
+                        if repr(v) < repr(u):
+                            u, v = v, u
+                    uid = iget(u)
+                    if uid is None:
+                        uid = iadd(u)
+                    vid = iget(v)
+                    if vid is None:
+                        vid = iadd(v)
+                    n_events += 1
+                    if not add:
+                        n_dels += 1
+                    if gadj is not None:
+                        # AdjacencyGraph.add_edge_ids / remove_edge_ids,
+                        # inlined; the counters are settled below.
+                        nu = gadj[uid] if uid < len(gadj) else None
+                        present = nu is not None and vid in nu
+                        if add and not present:
+                            top = uid if uid > vid else vid
+                            if top >= len(gadj):
+                                gadj.extend([None] * (top + 1 - len(gadj)))
+                            if nu is None:
+                                gadj[uid] = {vid: None}
+                                g_vertices += 1
+                            else:
+                                nu[vid] = None
+                            nv = gadj[vid]
+                            if nv is None:
+                                gadj[vid] = {uid: None}
+                                g_vertices += 1
+                            else:
+                                nv[uid] = None
+                            g_edges += 1
+                        elif present and not add:
+                            del nu[vid]
+                            del gadj[vid][uid]
+                            g_edges -= 1
+                        else:
+                            if strict:
+                                error = StreamError(
+                                    f"duplicate ADD_EDGE ({u!r}, {v!r})"
+                                    if add
+                                    else f"DELETE_EDGE of absent edge ({u!r}, {v!r})"
+                                )
+                                break
+                            n_malformed += 1
+                            if add or exact:
+                                continue
+                            # A numpy run ends at every deletion, malformed or not.
+                            skip.append(len(keys))
+                    if add:
+                        if uid not in universe:
+                            universe[uid] = None
+                            fresh.append(uid)
+                        if vid not in universe:
+                            universe[vid] = None
+                            fresh.append(vid)
+                    else:
+                        dels.append(len(keys))
+                    keys.append((uid << 32) | vid if uid < vid else (vid << 32) | uid)
+            except (TypeError, ValueError) as exc:  # an unhashable label, a bad event shape
+                error = exc
+            if graph is not None:
+                graph._id_count += g_vertices
+                graph._num_edges += g_edges
+            if keys:
+                if exact:
+                    c.kernel_batches += 1
+                    changes, sampled, sample_error = c._reservoir.update_many(keys, dels)
+                    if changes:
+                        self._link(changes)
+                else:
+                    sampled, sample_error = self._sample_logged(
+                        np.array(keys, dtype=np.uint64), dels, skip
+                    )
+                if sample_error is not None:
+                    # Lean only, so every event made a key: forget the
+                    # events after the one that raised.
+                    error = sample_error
+                    n_events = sampled + 1
+                    n_dels = bisect_left(dels, n_events)
+                    kept = [(key >> 32, key & _MASK32) for key in keys[:n_events]]
+                    self._forget(first_id, kept, dels, fresh)
+            stats.events += n_events
+            stats.edge_adds += n_events - n_dels
+            stats.edge_deletes += n_dels
+            stats.malformed_events += n_malformed
+            c.kernel_events += n_events
+            if fresh:
+                c._invalidate()
+            if error is not None:
+                raise error
+            if vertex_event is None:
+                return
+            self._apply_vertex_event(*vertex_event)
 
     # ------------------------------------------------------------------
     # Interning
     # ------------------------------------------------------------------
-    def _intern_edges(
-        self, us, vs, dels: Sequence[int]
+    def _intern_int_pairs(
+        self, au: np.ndarray, av: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, Optional[BaseException]]:
-        """Intern a batch's edge labels once, in event order.
+        """Bulk label→id interning for int labels, first-touch ordered,
+        up to the first self-loop, whose error comes back with the ids.
 
-        Returns label-canonical id columns for the events before the
-        first malformed one, and the error that event raises (None for
-        a clean batch). The int fast path requires every label to be
-        exactly ``int`` (bools are excluded, like the routing layers,
-        because ``True`` and ``1`` are distinct labels to a dict but not
-        to an array); int64 array columns skip the check. Anything else
-        interns per event with identical semantics.
+        Labels in ``[0, _LABEL_MAP_LIMIT)`` resolve through a dense numpy
+        label→id cache — one gather for a fully warmed-up segment, a
+        small first-touch-ordered intern loop for the stragglers. The
+        cache is only ever *missing* an entry, never wrong: labels
+        interned outside this method leave a ``-1`` that falls through
+        to the interner's get-or-add, and a rollback clears the entries
+        of the labels it forgets. Out-of-range labels take the
+        per-unique dict path.
         """
-        if isinstance(us, np.ndarray):
-            au = np.asarray(us, dtype=np.int64)
-            av = np.asarray(vs, dtype=np.int64)
-        elif set(map(type, us)) == {int} == set(map(type, vs)):
-            try:
-                au = np.asarray(us, dtype=np.int64)
-                av = np.asarray(vs, dtype=np.int64)
-            except OverflowError:
-                return self._intern_edges_generic(us, vs, dels)
-        else:
-            return self._intern_edges_generic(us, vs, dels)
         error: Optional[BaseException] = None
         loops = au == av
         if loops.any():
@@ -413,23 +637,8 @@ class NumpyBatchKernel:
             au = au[:p]
             av = av[:p]
         if not au.size:
-            return _EMPTY_IDS, _EMPTY_IDS, error
-        lo, hi = self._intern_int_pairs(au, av)
-        return lo, hi, error
-
-    def _intern_int_pairs(
-        self, au: np.ndarray, av: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Bulk label→id interning for int labels, first-touch ordered.
-
-        Labels in ``[0, _LABEL_MAP_LIMIT)`` resolve through a dense numpy
-        label→id cache — one gather for a fully warmed-up batch, a small
-        first-touch-ordered intern loop for the stragglers. The cache is
-        only ever *missing* an entry, never wrong: labels interned by the
-        scalar path leave a ``-1`` that falls through to the interner's
-        get-or-add. Out-of-range labels take the per-unique dict path.
-        """
-        intern = self._c._intern
+            return au, av, error
+        intern = self._c()._intern
         flat = np.empty(au.size * 2, dtype=np.int64)
         flat[0::2] = np.minimum(au, av)
         flat[1::2] = np.maximum(au, av)
@@ -447,8 +656,8 @@ class NumpyBatchKernel:
             ids_flat = lmap[flat]
             unknown = ids_flat < 0
             if unknown.any():
-                # Assign new ids in the order the scalar loop would: by
-                # the label's first appearance in the lo/hi-interleaved
+                # Assign new ids in the order the per-event path would:
+                # by the label's first appearance in the lo/hi-interleaved
                 # stream (np.unique's return_index preserves that order
                 # within the unknown subset).
                 fresh, first_idx = np.unique(flat[unknown], return_index=True)
@@ -457,7 +666,7 @@ class NumpyBatchKernel:
                 for label in fresh[order].tolist():
                     lmap[label] = iadd(label)
                 ids_flat[unknown] = lmap[flat[unknown]]
-            return ids_flat[0::2], ids_flat[1::2]
+            return ids_flat[0::2], ids_flat[1::2], error
         ids_map = intern._ids
         uniq, first_idx, inverse = np.unique(
             flat, return_index=True, return_inverse=True
@@ -478,206 +687,273 @@ class NumpyBatchKernel:
             for pos in missing:
                 uniq_ids[pos] = iadd(labels[pos])
         ids_flat = uniq_ids[inverse]
-        return ids_flat[0::2], ids_flat[1::2]
-
-    def _intern_edges_generic(
-        self, us: list, vs: list, dels: Sequence[int]
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[BaseException]]:
-        """Per-event interning for non-int / mixed / big labels."""
-        intern = self._c._intern
-        iget = intern._ids.get
-        iadd = intern.intern
-        deleted = set(dels)
-        lo: List[int] = []
-        hi: List[int] = []
-        error: Optional[BaseException] = None
-        for i, (u, v) in enumerate(zip(us, vs)):
-            if v is None and i in deleted:
-                error = ValueError(
-                    f"{_DELETE_EDGE.value} event requires two endpoints"
-                )
-                break
-            if u == v:
-                error = ValueError(f"self-loop edges are not allowed: ({u!r}, {v!r})")
-                break
-            try:
-                if v < u:
-                    u, v = v, u
-            except TypeError:
-                if repr(v) < repr(u):
-                    u, v = v, u
-            uid = iget(u)
-            if uid is None:
-                uid = iadd(u)
-            vid = iget(v)
-            if vid is None:
-                vid = iadd(v)
-            lo.append(uid)
-            hi.append(vid)
-        return np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64), error
+        return ids_flat[0::2], ids_flat[1::2], error
 
     # ------------------------------------------------------------------
-    # In-place deletions and vertex events
+    # Tracked graph, registration and packing
     # ------------------------------------------------------------------
-    def _delete(self, uid: int, vid: int) -> None:
-        """One ``DELETE_EDGE`` of interned ids, applied in place.
-
-        The per-event path's steps and errors, except that a sampled
-        edge leaving the sample is logged instead of cut.
-        """
-        c = self._c
-        stats = c.stats
-        stats.events += 1
-        stats.edge_deletes += 1
-        c.kernel_events += 1
-        graph = c._graph
-        if graph is not None and not graph.remove_edge_ids(uid, vid):
-            label_of = c._intern.label_of
-            c._malformed(
-                f"DELETE_EDGE of absent edge ({label_of(uid)!r}, {label_of(vid)!r})"
-            )
-            return
-        key = (uid << 32) | vid if uid < vid else (vid << 32) | uid
-        if c._reservoir.delete(key):
-            stats.sample_deletions += 1
-            self._log_removal(key)
-            c._invalidate()
-
-    def _apply_vertex_event(self, kind, u, v) -> None:
-        """An ``ADD_VERTEX`` registers in place (it reads no labels);
-        anything else (a ``DELETE_VERTEX``, which needs current
-        adjacency) takes the per-event path."""
-        c = self._c
-        if kind is not EventKind.ADD_VERTEX:
-            c.kernel_fallback_events += 1
-            c.apply(EdgeEvent(kind, u, v))
-            return
-        if v is not None:
-            raise ValueError(f"{kind.value} event takes a single vertex")
-        c.stats.events += 1
-        c.kernel_events += 1
-        c._on_add_vertex(u)
-
-    # ------------------------------------------------------------------
-    # ADD_EDGE runs
-    # ------------------------------------------------------------------
-    def _run(self, lo: np.ndarray, hi: np.ndarray) -> None:
-        """Execute one run of interned, label-canonical id pairs."""
-        c = self._c
-        n = int(lo.size)
-        if n == 0:
-            return
-        stats = c.stats
-        pending_error: Optional[BaseException] = None
-        n_malformed = 0
-        # --- tracked graph + duplicate filter -------------------------
-        if c._graph is not None:
-            lo, hi, n_events, n_malformed, pending_error = self._graph_pass(lo, hi)
-        else:
-            n_events = n
-        stats.events += n_events
-        stats.edge_adds += n_events
-        stats.malformed_events += n_malformed
-        admitted: List[int] = []
-        evicted: List[int] = []
-        structural = False
-        try:
-            if lo.size:
-                # --- vertex registration ------------------------------
-                flat = np.empty(lo.size * 2, dtype=np.int64)
-                flat[0::2] = lo
-                flat[1::2] = hi
-                registered = self._registration_bitmap()
-                known = registered[flat]
-                if not known.all():
-                    new_flat = flat[~known]
-                    uniq, first_idx = np.unique(new_flat, return_index=True)
-                    order = np.argsort(first_idx, kind="stable")
-                    fresh_ids = uniq[order]
-                    universe = c._components.universe
-                    for vid in fresh_ids.tolist():
-                        universe[vid] = None
-                    registered[fresh_ids] = True
-                    structural = True
-                # --- pack + vectorized reservoir admission ------------
-                keys = (
-                    np.minimum(lo, hi).astype(np.uint64) << _U32
-                ) | np.maximum(lo, hi).astype(np.uint64)
-                c._reservoir.insert_many(keys, admitted=admitted, evicted=evicted)
-        finally:
-            if admitted:
-                stats.admissions += len(admitted)
-                structural = True
-                self._log_run(admitted, evicted)
-            if evicted:
-                stats.evictions += len(evicted)
-            if structural:
-                c._invalidate()
-            c.kernel_batches += 1
-            c.kernel_events += n_events
-        if pending_error is not None:
-            raise pending_error
-
     def _graph_pass(
-        self, lo: np.ndarray, hi: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, int, int, Optional[BaseException]]:
-        """Update the tracked adjacency; drop (or fail on) duplicates.
+        self, lo: List[int], hi: List[int], dels: Sequence[int]
+    ) -> Tuple[List[int], int, Optional[BaseException]]:
+        """Apply a segment's edge events to the tracked adjacency in
+        event order.
 
-        Returns the possibly-filtered id arrays, the number of events
-        actually consumed (a strict-mode error truncates the run to the
-        scalar path's partial-batch semantics), the malformed count, and
-        the pending StreamError (raised by the caller after the
-        surviving prefix is fully applied).
+        Returns the positions of the malformed events (a duplicate
+        addition, a deletion of an absent edge), the number of events
+        consumed and the pending :class:`StreamError`. Under ``strict``
+        the first malformed event raises: it is consumed (the per-event
+        path counts it) but not applied, and it ends the segment.
         """
-        c = self._c
+        c = self._c()
         graph = c._graph
         gadj = graph._adj
         strict = c.config.strict
         g_vertices = g_edges = 0
         dropped: List[int] = []
-        pending_error: Optional[BaseException] = None
-        n_events = int(lo.size)
-        # Grow the id-indexed adjacency once for the whole run; ids are
-        # dense, so the largest endpoint bounds every access below.
-        max_id = max(int(lo.max()), int(hi.max()))
-        if max_id >= len(gadj):
-            gadj.extend([None] * (max_id + 1 - len(gadj)))
+        n = len(lo)
+        # Grow the id-indexed adjacency once for the whole segment: every
+        # id is below the interner's size.
+        if len(gadj) < len(c._intern):
+            gadj.extend([None] * (len(c._intern) - len(gadj)))
+        start = 0
         try:
-            for i, (uid, vid) in enumerate(zip(lo.tolist(), hi.tolist())):
+            for end in (*dels, n):
+                for i, uid, vid in zip(range(start, end), lo[start:end], hi[start:end]):
+                    nu = gadj[uid]
+                    if nu is None:
+                        gadj[uid] = {vid: None}
+                        g_vertices += 1
+                    elif vid in nu:
+                        dropped.append(i)
+                        if strict:
+                            label_of = c._intern.label_of
+                            return dropped, i + 1, StreamError(
+                                f"duplicate ADD_EDGE "
+                                f"({label_of(uid)!r}, {label_of(vid)!r})"
+                            )
+                        continue
+                    else:
+                        nu[vid] = None
+                    nv = gadj[vid]
+                    if nv is None:
+                        gadj[vid] = {uid: None}
+                        g_vertices += 1
+                    else:
+                        nv[uid] = None
+                    g_edges += 1
+                if end == n:
+                    break
+                uid = lo[end]
+                vid = hi[end]
                 nu = gadj[uid]
-                if nu is None:
-                    gadj[uid] = {vid: None}
-                    g_vertices += 1
-                elif vid in nu:
+                if nu is None or vid not in nu:
+                    dropped.append(end)
                     if strict:
                         label_of = c._intern.label_of
-                        pending_error = StreamError(
-                            f"duplicate ADD_EDGE "
+                        return dropped, end + 1, StreamError(
+                            f"DELETE_EDGE of absent edge "
                             f"({label_of(uid)!r}, {label_of(vid)!r})"
                         )
-                        n_events = i + 1
-                        dropped.append(i)
-                        break
-                    dropped.append(i)
-                    continue
                 else:
-                    nu[vid] = None
-                nv = gadj[vid]
-                if nv is None:
-                    gadj[vid] = {uid: None}
-                    g_vertices += 1
-                else:
-                    nv[uid] = None
-                g_edges += 1
+                    del nu[vid]
+                    del gadj[vid][uid]
+                    g_edges -= 1
+                start = end + 1
+            return dropped, n, None
         finally:
             graph._id_count += g_vertices
             graph._num_edges += g_edges
-        if pending_error is not None:
-            # Strict mode: the raising event is counted (the scalar loop
-            # increments its counters before the duplicate check) but
-            # not applied further, and later events are never consumed.
-            return lo[: n_events - 1], hi[: n_events - 1], n_events, 0, pending_error
+
+    def _register(self, lo, hi, dels, dropped) -> List[int]:
+        """Register the endpoints of the segment's additions (the events
+        not in ``dels`` or ``dropped``) that are not yet in the vertex
+        universe, in first-touch order; returns them in that order."""
+        if dels or dropped:
+            adds = np.ones(lo.size, dtype=bool)
+            adds[list(dels)] = False  # a tuple index would select all
+            adds[dropped] = False
+            lo = lo[adds]
+            hi = hi[adds]
+        flat = np.empty(lo.size * 2, dtype=np.int64)
+        flat[0::2] = lo
+        flat[1::2] = hi
+        registered = self._registration_bitmap()
+        known = registered[flat]
+        if known.all():
+            return []
+        uniq, first_idx = np.unique(flat[~known], return_index=True)
+        fresh_ids = uniq[np.argsort(first_idx, kind="stable")]
+        registered[fresh_ids] = True
+        fresh = self._shared_ids()[fresh_ids].tolist()
+        universe = self._c()._components.universe
+        universe.update(dict.fromkeys(fresh))
+        self._reg_count = len(universe)
+        return fresh
+
+    def _pack(self, lo, hi, dels, dropped):
+        """Packed keys of the segment's events that are not malformed,
+        the positions of the deletions among them, and the positions of
+        the malformed deletions the numpy kernel keeps as run
+        boundaries."""
+        keys = (np.minimum(lo, hi).astype(np.uint64) << _U32) | np.maximum(
+            lo, hi
+        ).astype(np.uint64)
+        skip: Set[int] = set()
         if dropped:
-            lo = np.delete(lo, dropped)
-            hi = np.delete(hi, dropped)
-        return lo, hi, n_events, len(dropped), None
+            gone = set(dropped)
+            if not self._exact:
+                # A numpy run ends at every deletion, malformed or not:
+                # where a run ends decides its vectorized draws.
+                skip = gone.intersection(dels)
+                gone -= skip
+            if gone:
+                shift = sorted(gone)
+                keys = np.delete(keys, shift)
+                skip = {d - bisect_left(shift, d) for d in skip}
+                dels = [d - bisect_left(shift, d) for d in dels if d not in gone]
+        return keys, dels, skip
+
+    def _shared_ids(self) -> np.ndarray:
+        """:attr:`_id_objects`, extended to every id interned so far."""
+        intern = self._c()._intern
+        start = self._id_count
+        end = len(intern)
+        if start < end:
+            if self._id_objects.size < end:
+                grown = np.empty(max(2 * self._id_objects.size, end, 256), dtype=object)
+                grown[:start] = self._id_objects[:start]
+                self._id_objects = grown
+            # The interner's dict holds its ids in insertion order, which
+            # is id order: the newest values are the missing ids.
+            newest = list(islice(reversed(intern._ids.values()), end - start))
+            newest.reverse()
+            self._id_objects[start:end] = newest
+            self._id_count = end
+        return self._id_objects
+
+    def _forget(self, first_id: int, kept, dels, fresh: List[int]) -> None:
+        """Undo what a stopped segment did past the event that raised.
+
+        ``kept`` holds the id pairs of the events the segment keeps and
+        ``dels`` the positions of their deletions. New ids are dense and
+        assigned in first-touch order, so the ids above the kept pairs'
+        (and not below ``first_id``) are the newest: they are forgotten.
+        So are the registrations in ``fresh`` that no kept addition
+        touched, the newest entries of the universe.
+        """
+        c = self._c()
+        deleted = set(dels)
+        touched = set()
+        last = first_id - 1
+        for i, (a, b) in enumerate(kept):
+            last = max(last, a, b)
+            if i not in deleted:
+                touched.add(a)
+                touched.add(b)
+        ids = c._intern._ids
+        labels = c._intern._labels
+        lmap = self._label_map
+        for label in labels[last + 1 :]:
+            del ids[label]
+            if type(label) is int and 0 <= label < lmap.size:
+                lmap[label] = -1
+        del labels[last + 1 :]
+        self._id_count = min(self._id_count, last + 1)
+        unregister = [vid for vid in fresh if vid not in touched]
+        if unregister:
+            universe = c._components.universe
+            for vid in unregister:
+                del universe[vid]
+            c._vertex_epoch += 1
+
+    # ------------------------------------------------------------------
+    # Sampling
+    # ------------------------------------------------------------------
+    def _link(self, changes: List[Tuple[int, int]]) -> None:
+        """Scalar kernel: cut and link the sample changes of
+        :meth:`PackedEdgeReservoir.update_many` in event order, counting
+        them exactly."""
+        c = self._c()
+        components = c._components
+        cut = components.cut
+        link = components.link
+        merges = splits = evictions = removals = 0
+        for gone, came in changes:
+            if gone >= 0:
+                if cut(gone >> 32, gone & _MASK32):
+                    splits += 1
+                if came < 0:
+                    removals += 1
+                    continue
+                evictions += 1
+            if link(came >> 32, came & _MASK32):
+                merges += 1
+        stats = c.stats
+        stats.admissions += len(changes) - removals
+        stats.evictions += evictions
+        stats.sample_deletions += removals
+        stats.component_merges += merges
+        stats.component_splits += splits
+        c._invalidate()
+
+    def _sample_logged(self, keys: np.ndarray, dels: List[int], skip: Collection[int]):
+        """Numpy kernel: one ``insert_many`` per run of additions and one
+        ``reservoir.delete`` per deletion not in ``skip`` (the malformed
+        ones), changes logged. Returns the position of the event that
+        raised and its error, or the number of events and None."""
+        c = self._c()
+        reservoir = c._reservoir
+        stats = c.stats
+        n = int(keys.size)
+        start = 0
+        for end in (*dels, n):
+            if start < end:
+                admitted: List[int] = []
+                evicted: List[int] = []
+                c.kernel_batches += 1
+                try:
+                    reservoir.insert_many(keys[start:end], admitted=admitted, evicted=evicted)
+                except ValueError as error:
+                    return end - 1, error
+                finally:
+                    if admitted:
+                        stats.admissions += len(admitted)
+                        stats.evictions += len(evicted)
+                        self._log_run(admitted, evicted)
+                        c._invalidate()
+            start = end + 1
+            if end == n or end in skip:
+                continue
+            key = int(keys[end])
+            try:
+                sampled = reservoir.delete(key)
+            except ValueError as error:
+                return end, error
+            if sampled:
+                stats.sample_deletions += 1
+                self._log_removal(key)
+                c._invalidate()
+        return n, None
+
+    # ------------------------------------------------------------------
+    # Vertex events
+    # ------------------------------------------------------------------
+    def _apply_vertex_event(self, kind, u, v) -> None:
+        """An ``ADD_VERTEX`` registers in place (it reads no labels);
+        anything else (a ``DELETE_VERTEX``, which needs current
+        adjacency) takes the per-event path."""
+        c = self._c()
+        if kind is EventKind.ADD_VERTEX:
+            if v is not None:
+                raise ValueError(f"{kind.value} event takes a single vertex")
+            c.stats.events += 1
+            c.kernel_events += 1
+            c._on_add_vertex(u)
+            return
+        c.kernel_fallback_events += 1
+        c.apply(EdgeEvent(kind, u, v))
+
+
+#: The name the served-stream benchmark's traced launcher patches
+#: (benchmarks/servebench/traced_serve.py).
+NumpyBatchKernel = BatchKernel

@@ -38,13 +38,13 @@ sampling decisions.
 Batched ingestion
 -----------------
 :meth:`StreamingGraphClusterer.apply_many` is the high-throughput entry
-point. For the unconstrained configuration it amortizes the per-event
-Python overhead across a whole batch: events are consumed
-as plain ``(kind, u, v)`` tuples or :class:`EdgeEvent` objects, the
-reservoir step is inlined, stats are accumulated in local counters, and
-the component labels are updated in place, so the end-to-end result —
-partition, statistics, reservoir content, and RNG state — is identical
-to the per-event path (property-tested in
+point. For the unconstrained configuration it hands the whole batch to
+the batch kernel (:mod:`repro.core.batchkernel`), which interns,
+registers and packs it once and then samples it. Under the scalar
+kernel the sampling replays the per-event path's draws and updates the
+component labels as it goes, so the end-to-end result — partition,
+statistics, reservoir content, and RNG state — is identical to the
+per-event path for any split into batches (property-tested in
 ``tests/test_apply_many_property.py``). See ``docs/performance.md``.
 """
 
@@ -53,11 +53,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from sys import getsizeof
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Union
 
 import numpy as np
 
 from repro.connectivity.labels import ComponentLabels
+from repro.core.batchkernel import BatchKernel
 from repro.obs import metrics as _obs
 from repro.core.config import ClustererConfig, normalize_config
 from repro.core.constraints import Unconstrained
@@ -132,12 +133,6 @@ class StreamingGraphClusterer:
 
     def __init__(self, config: ClustererConfig) -> None:
         self.config = config = normalize_config(config)
-        # The vectorized batch kernel (bound below for kernel="numpy")
-        # logs the sample changes it did not apply to the labels and
-        # replays them through its ``sync`` hook, called by ``apply`` and
-        # every reader; scalar configurations never pay more than this
-        # None check.
-        self._kernel = None
         #: Work counters (see the statistics contract in
         #: docs/performance.md).
         self.stats = ClustererStats()
@@ -169,17 +164,15 @@ class StreamingGraphClusterer:
         #: :meth:`snapshot` — a probe counter for cache-effectiveness
         #: tests and benchmarks; not part of the persisted state.
         self.partition_builds = 0
-        #: Probe counters for the numpy batch kernel (not persisted):
-        #: vectorized runs executed, events the kernel applied (its runs
-        #: plus the deletions and vertex additions it applies in place),
-        #: and events that fell back to the per-event path while the
-        #: kernel was configured (vertex deletions).
+        #: Probe counters for the batch kernel (not persisted): sampling
+        #: runs executed, events it applied, and events that fell back to
+        #: the per-event path inside ``apply_many`` (vertex deletions).
         self.kernel_batches = 0
         self.kernel_events = 0
         self.kernel_fallback_events = 0
-        # Bumped whenever the vertex universe changes outside the batch
-        # kernel, invalidating its registration bitmap (see
-        # batchkernel._registration_bitmap).
+        # Bumped whenever a vertex leaves the universe, invalidating the
+        # batch kernel's registration bitmap, which catches up with new
+        # registrations by itself (batchkernel._registration_bitmap).
         self._vertex_epoch = 0
         #: Monotone counter of structural invalidations (sampled edge
         #: set or vertex universe changed since the last extraction
@@ -190,10 +183,16 @@ class StreamingGraphClusterer:
         # Last counter values published to the metrics registry, so
         # sync_metrics() emits exact deltas (see repro.obs).
         self._metrics_last: Dict[str, int] = {}
-        if config.kernel == "numpy":
-            from repro.core.batchkernel import NumpyBatchKernel
-
-            self._kernel = NumpyBatchKernel(self)
+        # The registry's instrument for each published name, fetched on
+        # first use and again after a reset (the registry's generation).
+        self._metric_handles: Dict[str, _obs.Metric] = {}
+        self._metrics_generation = -1
+        #: Runs every unconstrained ``apply_many`` batch.
+        self._kernel = BatchKernel(self)
+        # Only the numpy kernel lets the labels lag the sample: it logs
+        # the changes and replays them through ``_kernel.sync()``, which
+        # ``apply`` and every reader call.
+        self._lagging = config.kernel == "numpy"
 
     def _make_reservoir(self, seed: int) -> PackedEdgeReservoir:
         """Reservoir matching the configured kernel (scalar MT / numpy PCG64)."""
@@ -210,7 +209,7 @@ class StreamingGraphClusterer:
     # ------------------------------------------------------------------
     def apply(self, event: EdgeEvent) -> None:
         """Process one stream event."""
-        if self._kernel is not None:
+        if self._lagging:
             self._kernel.sync()
         self.stats.events += 1
         kind = event.kind
@@ -235,40 +234,29 @@ class StreamingGraphClusterer:
         graph, and clustering — is identical to calling :meth:`apply`
         per event, for any split of the stream into batches.
 
-        The fast path engages for the unconstrained configuration;
-        constrained configurations fall back to per-event processing
-        transparently. Vertex deletions act as batch barriers (they run
-        on the per-event path), so streams where they are rare still
-        batch well. Returns self for chaining.
+        The batch kernel runs every batch of the unconstrained
+        configuration; constrained configurations fall back to per-event
+        processing transparently. Vertex deletions act as batch barriers
+        (they run on the per-event path), so streams where they are rare
+        still batch well. Returns self for chaining.
         """
         columns = type(events) is EventColumns
-        if type(self.config.constraint) is not Unconstrained:
-            if columns:
-                events = events.to_events()
-            for event in events:
-                if type(event) is tuple:
-                    event = EdgeEvent(event[0], event[1], event[2])
-                self.apply(event)
-            if _obs._ENABLED:
-                self.sync_metrics()
-            return self
-        kernel = self._kernel
-        if kernel is not None:
-            if columns:
-                kernel.apply_columns(events.kinds, events.us, events.vs)
+        try:
+            if type(self.config.constraint) is not Unconstrained:
+                if columns:
+                    events = events.to_events()
+                for event in events:
+                    if type(event) is tuple:
+                        event = EdgeEvent(event[0], event[1], event[2])
+                    self.apply(event)
+            elif columns:
+                self._kernel.apply_columns(events.kinds, events.us, events.vs)
             else:
-                kernel.apply_stream(events)
+                self._kernel.apply_stream(events)
+        finally:
             if _obs._ENABLED:
                 self.sync_metrics()
-            return self
-        if columns:
-            events = events.to_events()
-        iterator = iter(events)
-        while True:
-            barrier = self._apply_edge_batch(iterator)
-            if barrier is None:
-                return self
-            self.apply(barrier)
+        return self
 
     def process(
         self, events: Iterable[AnyEvent], batch_size: Optional[int] = None
@@ -294,255 +282,10 @@ class StreamingGraphClusterer:
                 return self
             self.apply_many(chunk)
 
-    # ------------------------------------------------------------------
-    # Batched fast path
-    # ------------------------------------------------------------------
-    def _apply_edge_batch(self, iterator: Iterator[AnyEvent]) -> Optional[EdgeEvent]:
-        """Consume edge/vertex-add events until exhaustion or a barrier.
-
-        Returns the barrier event (vertex deletion) still to be applied,
-        or None when the iterator ran dry. The stat counters the loop
-        accumulates locally and the cache invalidation are settled in
-        the ``finally`` block, so an exception (strict-mode stream
-        error, malformed input) leaves the clusterer exactly as the
-        per-event path would.
-        """
-        reservoir = self._reservoir
-        reservoir_delete = reservoir.delete
-        # The admission step is inlined below (the loop manipulates the
-        # reservoir's slot array and counters directly). The RNG draws
-        # replicate random.Random.randrange's accept-reject loop over
-        # getrandbits bit-for-bit, so the sampler consumes entropy — and
-        # decides — exactly as insert_fast/propose_insert would
-        # (property-tested against the per-event path).
-        slots = reservoir._slots
-        slot_of = reservoir._slot_of
-        getrandbits = reservoir._rng.getrandbits
-        capacity = reservoir._capacity
-        graph = self._graph
-        gadj = None if graph is None else graph._adj
-        g_vertices = g_edges = 0  # deferred graph counter deltas
-        intern = self._intern
-        iget = intern._ids.get
-        iadd = intern.intern
-        label_of = intern.label_of
-        # Component labels are updated in place, exactly as the
-        # per-event path updates them, so merge/split counts are exact.
-        components = self._components
-        universe = components.universe
-        link = components.link
-        cut = components.cut
-        strict = self.config.strict
-        kind_add = EventKind.ADD_EDGE
-        kind_del = EventKind.DELETE_EDGE
-        kind_addv = EventKind.ADD_VERTEX
-        n_events = n_adds = n_deletes = n_vadds = 0
-        n_admitted = n_evicted = n_sample_del = n_malformed = 0
-        n_merges = n_splits = 0
-        structural = False
-        barrier: Optional[EdgeEvent] = None
-        try:
-            for event in iterator:
-                if type(event) is tuple:
-                    kind, u, v = event
-                else:
-                    kind, u, v = event.kind, event.u, event.v
-                if kind is kind_add:
-                    if u == v:
-                        raise ValueError(
-                            f"self-loop edges are not allowed: ({u!r}, {v!r})"
-                        )
-                    try:
-                        if v < u:
-                            u, v = v, u
-                    except TypeError:
-                        if repr(v) < repr(u):
-                            u, v = v, u
-                    # Intern in label-canonical order *before* any
-                    # validity check: the per-event path assigns ids to
-                    # a malformed edge's endpoints too.
-                    uid = iget(u)
-                    if uid is None:
-                        uid = iadd(u)
-                    vid = iget(v)
-                    if vid is None:
-                        vid = iadd(v)
-                    n_events += 1
-                    n_adds += 1
-                    if gadj is not None:
-                        # Inline graph.add_edge_ids; the _id_count /
-                        # _num_edges deltas are settled in finally.
-                        n = len(gadj)
-                        if uid >= n or vid >= n:
-                            gadj.extend(
-                                [None] * ((uid if uid > vid else vid) + 1 - n)
-                            )
-                        nu = gadj[uid]
-                        if nu is None:
-                            gadj[uid] = {vid: None}
-                            g_vertices += 1
-                        elif vid in nu:
-                            if strict:
-                                raise StreamError(
-                                    f"duplicate ADD_EDGE "
-                                    f"({label_of(uid)!r}, {label_of(vid)!r})"
-                                )
-                            n_malformed += 1
-                            continue
-                        else:
-                            nu[vid] = None
-                        nv = gadj[vid]
-                        if nv is None:
-                            gadj[vid] = {uid: None}
-                            g_vertices += 1
-                        else:
-                            nv[uid] = None
-                        g_edges += 1
-                    if uid not in universe:
-                        universe[uid] = None
-                        structural = True
-                    if vid not in universe:
-                        universe[vid] = None
-                        structural = True
-                    if uid < vid:
-                        ku = uid
-                        kv = vid
-                    else:
-                        ku = vid
-                        kv = uid
-                    key = (ku << 32) | kv
-                    # --- inline insert_fast(key) ---
-                    population = reservoir._population + 1
-                    reservoir._population = population
-                    c_bad = reservoir._c_bad
-                    pending = c_bad + reservoir._c_good
-                    if pending:
-                        bits = pending.bit_length()
-                        r = getrandbits(bits)
-                        while r >= pending:
-                            r = getrandbits(bits)
-                        if r < c_bad:
-                            reservoir._c_bad = c_bad - 1
-                            evicted = None
-                        else:
-                            reservoir._c_good -= 1
-                            continue
-                    elif len(slots) < capacity:
-                        evicted = None
-                    else:
-                        bits = population.bit_length()
-                        r = getrandbits(bits)
-                        while r >= population:
-                            r = getrandbits(bits)
-                        if r >= capacity:
-                            continue
-                        size = len(slots)
-                        bits = size.bit_length()
-                        r = getrandbits(bits)
-                        while r >= size:
-                            r = getrandbits(bits)
-                        evicted = slots[r]
-                        pos = slot_of.pop(evicted)
-                        last = slots.pop()
-                        if pos < len(slots):
-                            slots[pos] = last
-                            slot_of[last] = pos
-                    if key in slot_of:
-                        raise ValueError(f"duplicate sample item {key!r}")
-                    slot_of[key] = len(slots)
-                    slots.append(key)
-                    # --- end inline insert ---
-                    n_admitted += 1
-                    structural = True
-                    if evicted is not None:
-                        n_evicted += 1
-                        if cut(evicted >> 32, evicted & _MASK32):
-                            n_splits += 1
-                    if link(ku, kv):
-                        n_merges += 1
-                elif kind is kind_del:
-                    if u == v:
-                        raise ValueError(
-                            f"self-loop edges are not allowed: ({u!r}, {v!r})"
-                        )
-                    try:
-                        if v < u:
-                            u, v = v, u
-                    except TypeError:
-                        if repr(v) < repr(u):
-                            u, v = v, u
-                    uid = iget(u)
-                    if uid is None:
-                        uid = iadd(u)
-                    vid = iget(v)
-                    if vid is None:
-                        vid = iadd(v)
-                    n_events += 1
-                    n_deletes += 1
-                    if graph is not None and not graph.remove_edge_ids(uid, vid):
-                        if strict:
-                            raise StreamError(
-                                f"DELETE_EDGE of absent edge "
-                                f"({label_of(uid)!r}, {label_of(vid)!r})"
-                            )
-                        n_malformed += 1
-                        continue
-                    if uid < vid:
-                        ku = uid
-                        kv = vid
-                    else:
-                        ku = vid
-                        kv = uid
-                    if reservoir_delete((ku << 32) | kv):
-                        n_sample_del += 1
-                        structural = True
-                        if cut(ku, kv):
-                            n_splits += 1
-                elif kind is kind_addv:
-                    if v is not None:
-                        raise ValueError(f"{kind.value} event takes a single vertex")
-                    n_events += 1
-                    n_vadds += 1
-                    uid = iget(u)
-                    if uid is None:
-                        uid = iadd(u)
-                    if graph is not None:
-                        graph.add_vertex_id(uid)
-                    if uid not in universe:
-                        universe[uid] = None
-                        structural = True
-                else:
-                    # DELETE_VERTEX (or an unknown kind, which apply()
-                    # rejects): a barrier for the per-event path.
-                    if type(event) is tuple:
-                        event = EdgeEvent(kind, u, v)
-                    barrier = event
-                    break
-        finally:
-            if graph is not None:
-                graph._id_count += g_vertices
-                graph._num_edges += g_edges
-            stats = self.stats
-            stats.events += n_events
-            stats.edge_adds += n_adds
-            stats.edge_deletes += n_deletes
-            stats.vertex_adds += n_vadds
-            stats.admissions += n_admitted
-            stats.evictions += n_evicted
-            stats.sample_deletions += n_sample_del
-            stats.malformed_events += n_malformed
-            stats.component_merges += n_merges
-            stats.component_splits += n_splits
-            if structural:
-                self._invalidate()
-            if _obs._ENABLED:
-                self.sync_metrics()
-        return barrier
-
     def _settled(self) -> ComponentLabels:
         """The component labels, first brought up to date with the
-        sample by the numpy kernel (:meth:`NumpyBatchKernel.sync`)."""
-        if self._kernel is not None:
+        sample by the numpy kernel (:meth:`BatchKernel.sync`)."""
+        if self._lagging:
             self._kernel.sync()
         return self._components
 
@@ -568,7 +311,6 @@ class StreamingGraphClusterer:
         fresh_u = components.add_vertex(uid)
         fresh_v = components.add_vertex(vid)
         if fresh_u or fresh_v:
-            self._vertex_epoch += 1
             self._invalidate()
         key = (uid << 32) | vid if uid < vid else (vid << 32) | uid
         proposal = self._reservoir.propose_insert(key)
@@ -611,7 +353,6 @@ class StreamingGraphClusterer:
         if self._graph is not None:
             self._graph.add_vertex_id(uid)
         if self._components.add_vertex(uid):
-            self._vertex_epoch += 1
             self._invalidate()
 
     def _on_delete_vertex(self, v: Vertex) -> None:
@@ -930,27 +671,35 @@ class StreamingGraphClusterer:
         than the single enabling branch.
         """
         registry = _obs.default_registry()
-        counter = registry.counter
+        if self._metrics_generation != registry.generation:
+            self._metrics_generation = registry.generation
+            self._metric_handles = {}
+        handles = self._metric_handles
         last = self._metrics_last
         stats = self.stats
-        for name in self._METRIC_STAT_FIELDS:
-            value = getattr(stats, name)
-            prev = last.get(name, 0)
-            if value > prev:
-                counter("clusterer." + name).inc(value - prev)
-                last[name] = value
-        for name in self._METRIC_PROBE_FIELDS:
-            value = getattr(self, name)
-            prev = last.get(name, 0)
-            if value > prev:
-                counter("clusterer." + name).inc(value - prev)
-                last[name] = value
+        for source, names in (
+            (stats, self._METRIC_STAT_FIELDS),
+            (self, self._METRIC_PROBE_FIELDS),
+        ):
+            for name in names:
+                value = getattr(source, name)
+                prev = last.get(name, 0)
+                if value > prev:
+                    counter = handles.get(name)
+                    if counter is None:
+                        counter = handles[name] = registry.counter("clusterer." + name)
+                    counter.inc(value - prev)
+                    last[name] = value
         size = len(self._reservoir)
-        registry.gauge("clusterer.reservoir_size").set(size)
-        registry.gauge("clusterer.reservoir_fill").set(
-            size / self.config.reservoir_capacity
-        )
-        registry.gauge("clusterer.num_vertices").set(self.num_vertices)
+        for name, value in (
+            ("reservoir_size", size),
+            ("reservoir_fill", size / self.config.reservoir_capacity),
+            ("num_vertices", self.num_vertices),
+        ):
+            gauge = handles.get(name)
+            if gauge is None:
+                gauge = handles[name] = registry.gauge("clusterer." + name)
+            gauge.set(value)
 
     # ------------------------------------------------------------------
     # Introspection

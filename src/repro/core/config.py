@@ -53,12 +53,12 @@ class ClustererConfig:
     seed:
         Master seed; all internal randomness derives from it.
     kernel:
-        Which sampling kernel drives batched ingestion. ``"scalar"``
-        (default) is the Mersenne-Twister reference path — bit-identical
-        to per-event processing and to every previous release.
-        ``"numpy"`` processes whole event batches as arrays
-        (:mod:`repro.core.batchkernel`) for ~3x batched throughput; its
-        PCG64 draws are *distribution*-equivalent, not bit-identical, so
+        Which sampler the batch kernel (:mod:`repro.core.batchkernel`)
+        runs. ``"scalar"`` (default) is the Mersenne-Twister reference
+        path — bit-identical to per-event processing and to every
+        previous release. ``"numpy"`` draws whole runs of sampling
+        decisions as arrays for higher batched throughput; its PCG64
+        draws are *distribution*-equivalent, not bit-identical, so
         checkpoints record which kernel wrote them and a run must stick
         with one kernel end to end (see docs/performance.md).
     """

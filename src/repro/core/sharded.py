@@ -202,6 +202,9 @@ class ShardedClusterer:
             return
         # Vertex events are broadcast: any shard may hold incident edges,
         # and all shards must know the vertex exists for their snapshots.
+        # Each shard takes the event as a one-event batch, as a pipeline
+        # worker does, so its batch kernel counts it.
+        batch = (event,)
         for shard, clusterer in enumerate(self.shards):
             self.shard_events[shard] += 1
             if event.kind is EventKind.DELETE_VERTEX and clusterer.config.strict:
@@ -210,7 +213,7 @@ class ShardedClusterer:
                     event.u
                 ):
                     continue
-            clusterer.apply(event)
+            clusterer.apply_many(batch)
 
     def apply_many(self, events: Iterable[AnyEvent]) -> "ShardedClusterer":
         """Apply a batch of events through the shards' batched fast path.

@@ -257,6 +257,9 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
         self._timer = PhaseTimer()
+        #: Bumped by :meth:`reset`, which drops every instrument: a caller
+        #: that keeps handles fetches them again when this moved.
+        self.generation = 0
 
     # ------------------------------------------------------------------
     # Instrument factories (get-or-create)
@@ -322,6 +325,7 @@ class MetricsRegistry:
         """Drop every instrument and timer total."""
         self._metrics.clear()
         self._timer = PhaseTimer()
+        self.generation += 1
 
     def snapshot(self) -> Dict[str, dict]:
         """A JSON-able ``{name: {kind, value, ...}}`` view of everything.

@@ -13,15 +13,10 @@ is assembled from these pieces:
   substrate of the weighted clusterer extension.
 """
 
-from repro.sampling.random_pairing import (
-    NOT_ADMITTED,
-    InsertProposal,
-    RandomPairingReservoir,
-)
+from repro.sampling.random_pairing import InsertProposal, RandomPairingReservoir
 from repro.sampling.weighted import WeightedReservoir
 
 __all__ = [
-    "NOT_ADMITTED",
     "InsertProposal",
     "RandomPairingReservoir",
     "WeightedReservoir",

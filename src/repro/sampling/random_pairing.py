@@ -42,51 +42,28 @@ consumed whether or not the caller commits), so uniformity is preserved
 exactly in the unconstrained case and degrades only by the vetoes the
 caller actually issues.
 
-For unconstrained callers on a hot path, :meth:`insert_fast` fuses
-propose+commit without building an :class:`InsertProposal`, making the
-exact same RNG calls in the exact same order — a stream driven through
-it is bit-identical to one driven through the two-phase protocol.
+A batch of unconstrained updates goes through
+:meth:`PackedEdgeReservoir.update_many` instead, which makes the exact
+same RNG draws in the exact same order as the two-phase protocol — a
+stream driven through it is bit-identical to one driven event by event.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Generic, Iterator, List, Optional, TypeVar, Union
+from typing import Dict, Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.util.rng import make_rng
 from repro.util.validation import check_positive
 
 __all__ = [
-    "NOT_ADMITTED",
     "InsertProposal",
     "PackedEdgeReservoir",
     "RandomPairingReservoir",
 ]
 
 T = TypeVar("T")
-
-
-class _NotAdmitted:
-    """Sentinel type for :data:`NOT_ADMITTED` (kept picklable/reprable)."""
-
-    __slots__ = ()
-
-    _instance: Optional["_NotAdmitted"] = None
-
-    def __new__(cls) -> "_NotAdmitted":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NOT_ADMITTED"
-
-
-#: Returned by :meth:`RandomPairingReservoir.insert_fast` when the item was
-#: skipped. A distinct sentinel (not ``None``) because ``None`` means
-#: "admitted into a free slot, nothing evicted".
-NOT_ADMITTED = _NotAdmitted()
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,6 +254,10 @@ class RandomPairingReservoir(Generic[T]):
         """Apply an admitting proposal to the sample."""
         if not proposal.admit:
             raise ValueError("cannot commit a non-admitting proposal")
+        # Refuse a resident before evicting anything, so a failed commit
+        # leaves the sample as it was (the draws are already spent).
+        if proposal.item in self._slot_of:
+            raise ValueError(f"duplicate sample item {proposal.item!r}")
         if proposal.evicted is not None:
             self._discard(proposal.evicted)
         self._add(proposal.item)
@@ -294,37 +275,6 @@ class RandomPairingReservoir(Generic[T]):
         if proposal.admit:
             self.commit(proposal)
         return proposal
-
-    def insert_fast(self, item: T) -> Union[T, "_NotAdmitted", None]:
-        """Fused propose+commit for unconstrained hot paths.
-
-        Returns :data:`NOT_ADMITTED` when the item was skipped, the
-        evicted resident when admission displaced one, or ``None`` when
-        a free (or pairing-vacated) slot absorbed the item. Draws from
-        the RNG exactly as :meth:`propose_insert`/:meth:`commit` would,
-        so the sampler evolves bit-identically either way.
-        """
-        self._population += 1
-        pending = self._c_bad + self._c_good
-        rng = self._rng
-        if pending > 0:
-            if rng.randrange(pending) < self._c_bad:
-                self._c_bad -= 1
-                self._add(item)
-                return None
-            self._c_good -= 1
-            return NOT_ADMITTED
-        slots = self._slots
-        size = len(slots)
-        if size < self._capacity:
-            self._add(item)
-            return None
-        if rng.randrange(self._population) < self._capacity:
-            evicted = slots[rng.randrange(size)]
-            self._discard(evicted)
-            self._add(item)
-            return evicted
-        return NOT_ADMITTED
 
     def delete(self, item: T) -> bool:
         """Account for a deletion; returns True if ``item`` left the sample."""
@@ -356,6 +306,107 @@ class PackedEdgeReservoir(RandomPairingReservoir[int]):
     def __init__(self, capacity: int, seed: int | None = 0) -> None:
         super().__init__(capacity, seed=seed)
         self._slots = array("Q")
+
+    def update_many(
+        self, keys: List[int], deletes: Sequence[int] = ()
+    ) -> Tuple[List[Tuple[int, int]], int, Optional[ValueError]]:
+        """Account for a batch of updates in event order.
+
+        ``keys`` are packed edge keys; the ascending positions in
+        ``deletes`` are deletions, every other key an insertion. Each
+        update draws and decides exactly as :meth:`propose_insert` with
+        :meth:`commit`, or :meth:`delete`, would (``randrange``'s
+        accept-reject loop over ``getrandbits``, bit for bit).
+
+        Returns ``(changes, stop, error)``: the sample changes in event
+        order as ``(gone, came)`` pairs, ``-1`` for no key; and None, or
+        the error the update at position ``stop`` raises one at a time
+        (a sampled key added again, after its draws and before any
+        eviction; a deletion from an empty population), where the batch
+        stopped. Without an error ``stop`` is ``len(keys)``.
+        """
+        slots = self._slots
+        slot_of = self._slot_of
+        getrandbits = self._rng.getrandbits
+        capacity = self._capacity
+        population = self._population
+        c_bad = self._c_bad
+        c_good = self._c_good
+        changes: List[Tuple[int, int]] = []
+        # Kept in step with the counters and the slots below, so the
+        # common update tests two locals: c_bad + c_good, free slots.
+        pending = c_bad + c_good
+        free = capacity - len(slots)
+        d = 0
+        next_delete = deletes[0] if deletes else -1
+        try:
+            for i, key in enumerate(keys):
+                if i == next_delete:
+                    d += 1
+                    next_delete = deletes[d] if d < len(deletes) else -1
+                    if population <= 0:
+                        return changes, i, ValueError("delete from an empty population")
+                    population -= 1
+                    pending += 1
+                    pos = slot_of.pop(key, None)
+                    if pos is None:
+                        c_good += 1
+                        continue
+                    c_bad += 1
+                    free += 1
+                    last = slots.pop()
+                    if pos < len(slots):
+                        slots[pos] = last
+                        slot_of[last] = pos
+                    changes.append((key, -1))
+                    continue
+                population += 1
+                if pending:
+                    # Pair with a random uncompensated deletion.
+                    bits = pending.bit_length()
+                    r = getrandbits(bits)
+                    while r >= pending:
+                        r = getrandbits(bits)
+                    pending -= 1
+                    if r >= c_bad:
+                        c_good -= 1
+                        continue
+                    c_bad -= 1
+                    gone = -1
+                elif free:
+                    gone = -1
+                else:
+                    # Algorithm R against the live population.
+                    bits = population.bit_length()
+                    r = getrandbits(bits)
+                    while r >= population:
+                        r = getrandbits(bits)
+                    if r >= capacity:
+                        continue
+                    size = len(slots)
+                    bits = size.bit_length()
+                    r = getrandbits(bits)
+                    while r >= size:
+                        r = getrandbits(bits)
+                    gone = slots[r]
+                if key in slot_of:
+                    return changes, i, ValueError(f"duplicate sample item {key!r}")
+                if gone >= 0:
+                    pos = slot_of.pop(gone)
+                    last = slots.pop()
+                    if pos < len(slots):
+                        slots[pos] = last
+                        slot_of[last] = pos
+                else:
+                    free -= 1
+                slot_of[key] = len(slots)
+                slots.append(key)
+                changes.append((gone, key))
+            return changes, len(keys), None
+        finally:
+            self._population = population
+            self._c_bad = c_bad
+            self._c_good = c_good
 
     @classmethod
     def from_state(

@@ -116,9 +116,9 @@ class NumpyPackedEdgeReservoir(PackedEdgeReservoir):
     base class's; every random draw instead comes from
     ``numpy.random.Generator`` so :meth:`insert_many` can vectorize the
     steady-state Algorithm R accept/evict decisions for a whole run of
-    insertions. The per-item methods (``propose_insert``,
-    ``insert_fast``) draw scalars from the *same* generator, so batched
-    and per-event processing interleave on one coherent bitstream.
+    insertions. The per-event :meth:`propose_insert` draws scalars from
+    the *same* generator, so batched and per-event processing interleave
+    on one coherent bitstream.
 
     ``get_state`` additionally records the PCG64 bitstream state under
     ``"np_rng_state"``; the inherited MT state is carried along unused
@@ -149,31 +149,6 @@ class NumpyPackedEdgeReservoir(PackedEdgeReservoir):
             evicted = self._slots[int(self._gen.integers(len(self._slots)))]
             return InsertProposal(item, admit=True, evicted=evicted)
         return InsertProposal(item, admit=False)
-
-    def insert_fast(self, item):  # type: ignore[override]
-        from repro.sampling.random_pairing import NOT_ADMITTED
-
-        self._population += 1
-        pending = self._c_bad + self._c_good
-        gen = self._gen
-        if pending > 0:
-            if int(gen.integers(pending)) < self._c_bad:
-                self._c_bad -= 1
-                self._add(item)
-                return None
-            self._c_good -= 1
-            return NOT_ADMITTED
-        slots = self._slots
-        size = len(slots)
-        if size < self._capacity:
-            self._add(item)
-            return None
-        if int(gen.integers(self._population)) < self._capacity:
-            evicted = slots[int(gen.integers(size))]
-            self._discard(evicted)
-            self._add(item)
-            return evicted
-        return NOT_ADMITTED
 
     # -- vectorized batch insertion ------------------------------------
     def insert_many(
@@ -241,21 +216,27 @@ class NumpyPackedEdgeReservoir(PackedEdgeReservoir):
                 victims = gen.integers(0, capacity, size=accepted.size)
                 slot_view = np.frombuffer(slots, dtype=np.uint64)
                 keys_tail = keys[i:]
-                for pos, victim in zip(accepted.tolist(), victims.tolist()):
-                    key = int(keys_tail[pos])
-                    old = int(slot_view[victim])
-                    # Overwrite the victim's slot in place. The scalar
-                    # code swap-removes then appends; overwrite reaches
-                    # the same uniform victim choice with one move (slot
-                    # order is an internal detail that round-trips via
-                    # get_state either way).
-                    if key in slot_of:
-                        raise ValueError(f"duplicate sample item {key!r}")
-                    del slot_of[old]
-                    slot_view[victim] = key
-                    slot_of[key] = victim
-                    evicted.append(old)
-                    admitted.append(key)
+                try:
+                    for pos, victim in zip(accepted.tolist(), victims.tolist()):
+                        key = int(keys_tail[pos])
+                        old = int(slot_view[victim])
+                        # Overwrite the victim's slot in place. The scalar
+                        # code swap-removes then appends; overwrite reaches
+                        # the same uniform victim choice with one move (slot
+                        # order is an internal detail that round-trips via
+                        # get_state either way).
+                        if key in slot_of:
+                            raise ValueError(f"duplicate sample item {key!r}")
+                        del slot_of[old]
+                        slot_view[victim] = key
+                        slot_of[key] = victim
+                        evicted.append(old)
+                        admitted.append(key)
+                finally:
+                    # Release the buffer export even when the error's
+                    # traceback keeps this frame alive: the slots must
+                    # stay resizable.
+                    del slot_view
         return admitted, evicted
 
     # -- persistence ---------------------------------------------------

@@ -124,8 +124,8 @@ class EventColumns:
 
     The batch readers (:func:`repro.streams.io.read_event_columns`,
     :func:`repro.streams.io.insert_only_columns`) emit these so the
-    numpy batch kernel can consume a whole batch without building a
-    tuple per event. ``kinds`` is ``None`` when *every* event in the
+    batch kernel can consume a whole batch without building a tuple
+    per event. ``kinds`` is ``None`` when *every* event in the
     batch is an ``ADD_EDGE`` — the overwhelmingly common case, which
     the kernel then vectorizes in a single run. Like :data:`RawEvent`
     tuples, columns are neither validated nor canonicalized here;

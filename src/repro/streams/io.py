@@ -353,7 +353,7 @@ def read_event_columns(
     """Read an event stream as :class:`EventColumns` batches.
 
     Column (struct-of-arrays) counterpart of :func:`read_event_batches`,
-    sized for the numpy batch kernel: a batch that is ``ADD_EDGE``
+    sized for the batch kernel: a batch that is ``ADD_EDGE``
     throughout is emitted with ``kinds=None``, which ``apply_many``
     vectorizes as a single run without inspecting per-event kinds.
     Mixed batches carry their kind column and are segmented by the

@@ -69,7 +69,7 @@ def insert_only_columns(
     """:func:`insert_only_stream_raw` grouped into :class:`EventColumns`.
 
     Yields column batches with ``kinds=None`` (the stream is ADD_EDGE by
-    construction), the shape the numpy batch kernel consumes without
+    construction), the shape the batch kernel consumes without
     per-event inspection. Draws the same permutation as the raw variant
     for the same seed, so all three spellings describe the same stream.
     """

@@ -12,6 +12,7 @@ components of the sample from scratch through the public API.
 from __future__ import annotations
 
 import functools
+import pickle
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from repro.core import (
     StreamingGraphClusterer,
     Unconstrained,
 )
+from repro.core.batchkernel import _SMALL_BATCH
 from repro.core.sharded import ShardedClusterer
 from repro.persist import load_checkpoint, save_checkpoint
 from repro.quality import Partition
@@ -108,6 +110,100 @@ def test_apply_many_matches_per_event_for_any_split(
     assert _strip_config(batched.get_state()) == _strip_config(reference.get_state())
     assert batched.snapshot() == reference.snapshot()
     assert batched.num_clusters == reference.num_clusters
+
+
+def _split_sizes(rng, length):
+    """Batch sizes that cover both sides of the batch kernel's
+    plain-Python crossover: half drawn from 1 to just past it, half from
+    just below it to 300."""
+    sizes = []
+    while sum(sizes) < length:
+        if rng.random() < 0.5:
+            sizes.append(rng.randint(1, _SMALL_BATCH + 1))
+        else:
+            sizes.append(rng.randint(_SMALL_BATCH - 1, 300))
+    return sizes
+
+
+def _in_form(batch, form):
+    """A raw-tuple batch as ``apply_many`` gets it from each source: the
+    tuples themselves, tuples with :class:`EdgeEvent` objects among them
+    (never first), list columns (the stream readers), or the wire
+    decode's columns (:func:`_as_columns`)."""
+    if form == "tuples":
+        return batch
+    if form == "mixed":
+        mixed = list(batch)
+        for i in range(1, len(mixed), 3):
+            try:
+                mixed[i] = EdgeEvent(*mixed[i])
+            except ValueError:  # a self-loop stays a tuple
+                pass
+        return mixed
+    if form == "array_columns":
+        return _as_columns(batch)
+    return EventColumns(
+        us=[u for _, u, _ in batch],
+        vs=[v for _, _, v in batch],
+        kinds=[kind for kind, _, _ in batch],
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    stream_seed=st.integers(0, 2**20),
+    length=st.integers(1, 700),
+    num_vertices=st.integers(3, 60),
+    seed=st.integers(0, 2**20),
+    capacity=st.integers(1, 40),
+    split_seed=st.integers(0, 2**10),
+    lean=st.booleans(),
+    form=st.sampled_from(
+        ["tuples", "mixed", "list_columns", "array_columns", "str_labels"]
+    ),
+)
+def test_scalar_any_split_matches_per_event_in_every_form(
+    stream_seed, length, num_vertices, seed, capacity, split_seed, lean, form
+):
+    """The scalar kernel's split property over what the system feeds
+    ``apply_many``: tuples, tuples mixed with EdgeEvents, list columns,
+    the wire decode's int64 array columns with kind codes, and str
+    labels; lean streams that delete
+    and re-add edges, tracked ones with malformed events and vertex
+    events; batches on both sides of the crossover. A batch that raises
+    stops at the raising event, so the per-event reference skips the
+    rest of that batch too; the states, the errors and the partitions
+    must all be equal."""
+    events = _churn_events(random.Random(stream_seed), length, num_vertices, lean)
+    if form == "str_labels":
+        events = [
+            (kind, f"v{u}", None if v is None else f"v{v}") for kind, u, v in events
+        ]
+        form = "list_columns"
+    kwargs = dict(
+        reservoir_capacity=capacity, seed=seed, strict=False, track_graph=not lean
+    )
+    reference = StreamingGraphClusterer(ClustererConfig(**kwargs))
+    batched = StreamingGraphClusterer(ClustererConfig(**kwargs))
+    expected, got = [], []
+    start = 0
+    for size in _split_sizes(random.Random(split_seed), len(events)):
+        batch = events[start : start + size]
+        start += size
+        for event in batch:
+            try:
+                reference.apply(EdgeEvent(*event))
+            except ValueError as error:
+                expected.append(str(error))
+                break
+        try:
+            batched.apply_many(_in_form(batch, form))
+        except ValueError as error:
+            got.append(str(error))
+    assert got == expected
+    assert pickle.dumps(batched.get_state()) == pickle.dumps(reference.get_state())
+    assert batched.snapshot() == reference.snapshot()
+    assert batched.snapshot() == _oracle_partition(batched)
 
 
 @settings(max_examples=25, deadline=None)
@@ -327,19 +423,22 @@ def _churn_events(rng, length, num_vertices, lean):
     split_seed=st.integers(0, 2**10),
     columns=st.booleans(),
     lean=st.booleans(),
+    kernel=st.sampled_from(["scalar", "numpy"]),
 )
 def test_numpy_kernel_matches_from_scratch_components(
-    stream_seed, length, num_vertices, seed, capacity, split_seed, columns, lean
+    stream_seed, length, num_vertices, seed, capacity, split_seed, columns, lean, kernel
 ):
     """Reads at random points, after batches of 1 to 299 events, match
-    the components of the sample recomputed from scratch: small sample
-    changes are replayed, large ones rebuilt."""
+    the components of the sample recomputed from scratch, on both
+    kernels: on numpy small sample changes are replayed, large ones
+    rebuilt. In lean mode a batch can stop at a duplicate sample item,
+    which must not evict anything first."""
     clusterer = StreamingGraphClusterer(
         ClustererConfig(
             reservoir_capacity=capacity,
             seed=seed,
             strict=False,
-            kernel="numpy",
+            kernel=kernel,
             track_graph=not lean,
         )
     )
@@ -362,6 +461,79 @@ def test_numpy_kernel_matches_from_scratch_components(
             assert clusterer.snapshot() == _oracle_partition(clusterer)
             assert clusterer.num_clusters == clusterer.snapshot().num_clusters
     assert clusterer.snapshot() == _oracle_partition(clusterer)
+
+
+@pytest.mark.parametrize("batch", [0, 16])
+def test_duplicate_sample_item_evicts_nothing(batch):
+    """Lean mode: adding an edge that is already sampled raises
+    ``duplicate sample item``, possibly after its draws picked a victim.
+    The victim must stay sampled and linked, per event (``batch`` 0) and
+    batched alike, so the clusters stay the components of the sample."""
+    failures = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        clusterer = StreamingGraphClusterer(
+            ClustererConfig(
+                reservoir_capacity=5, seed=seed, strict=False, track_graph=False
+            )
+        )
+        events = [
+            (EventKind.ADD_EDGE, *rng.sample(range(30), 2)) for _ in range(200)
+        ]
+        for start in range(0, len(events), batch or 1):
+            try:
+                if batch:
+                    clusterer.apply_many(events[start : start + batch])
+                else:
+                    clusterer.apply(EdgeEvent(*events[start]))
+            except ValueError as error:
+                assert "duplicate sample item" in str(error)
+                failures += 1
+        assert clusterer.reservoir_size == 5
+        assert clusterer.snapshot() == _oracle_partition(clusterer)
+    assert failures > 0
+
+
+@pytest.mark.parametrize("form", ["tuples", "list_columns", "array_columns"])
+@pytest.mark.parametrize("kernel", ["scalar", "numpy"])
+def test_malformed_addition_in_a_long_insert_only_batch(kernel, form):
+    """A duplicate addition dropped from a long batch of additions only
+    (no deletion positions) leaves every other event registered and
+    sampled as one event at a time does."""
+    events = [(EventKind.ADD_EDGE, u, u + 1) for u in range(_SMALL_BATCH)]
+    events += [(EventKind.ADD_EDGE, 1, 0)]
+    events += [(EventKind.ADD_EDGE, u, u + 1) for u in range(100, 110)]
+    config = ClustererConfig(reservoir_capacity=500, seed=1, strict=False, kernel=kernel)
+    batched = StreamingGraphClusterer(config)
+    batched.apply_many(_in_form(events, form))
+    one_at_a_time = StreamingGraphClusterer(config)
+    for event in events:
+        one_at_a_time.apply_many([event])
+    assert batched.stats.malformed_events == 1
+    assert pickle.dumps(batched.get_state()) == pickle.dumps(one_at_a_time.get_state())
+
+
+@pytest.mark.parametrize("kernel", ["scalar", "numpy"])
+def test_sharded_vertex_deletions_count_as_fallbacks(kernel):
+    """A broadcast DELETE_VERTEX reaches each shard as a one-event batch,
+    so every shard's kernel counts it, as a single clusterer's does."""
+    config = ClustererConfig(reservoir_capacity=30, seed=4, strict=False, kernel=kernel)
+    adds = [(EventKind.ADD_EDGE, u, u + 1) for u in range(40)]
+    deletion = (EventKind.DELETE_VERTEX, 7, None)
+    single = StreamingGraphClusterer(config)
+    single.apply_many(adds)
+    single.apply_many([deletion])
+    assert single.kernel_fallback_events == 1
+    batched = ShardedClusterer(config, 2)
+    batched.apply_many(adds + [deletion])
+    per_event = ShardedClusterer(config, 2)
+    for event in adds + [deletion]:
+        per_event.apply(EdgeEvent(*event))
+    for sharded in (batched, per_event):
+        assert [shard.kernel_fallback_events for shard in sharded.shards] == [1, 1]
+        assert sum(shard.stats.vertex_deletes for shard in sharded.shards) == 2
+    if kernel == "scalar":  # numpy draws depend on batch boundaries
+        assert batched.snapshot() == per_event.snapshot()
 
 
 def test_sharded_apply_many_matches_per_event():

@@ -362,7 +362,7 @@ class TestHotClassSlots:
     def test_reservoir_has_no_dict_and_state_pickles(self):
         reservoir = RandomPairingReservoir(4, seed=2)
         for item in range(10):
-            reservoir.insert_fast(item)
+            reservoir.insert(item)
         assert not hasattr(reservoir, "__dict__")
         state = pickle.loads(pickle.dumps(reservoir.get_state()))
         restored = RandomPairingReservoir.from_state(state)
@@ -370,8 +370,7 @@ class TestHotClassSlots:
 
     def test_packed_reservoir_state_pickles_with_array_slots(self):
         reservoir = PackedEdgeReservoir(4, seed=2)
-        for item in range(10):
-            reservoir.insert_fast((item << 32) | (item + 1))
+        reservoir.update_many([(item << 32) | (item + 1) for item in range(10)])
         state = pickle.loads(pickle.dumps(reservoir.get_state()))
         restored = PackedEdgeReservoir.from_state(state)
         assert restored.items() == reservoir.items()

@@ -5,7 +5,8 @@ from collections import Counter
 
 import pytest
 
-from repro.sampling import RandomPairingReservoir
+from repro.sampling import InsertProposal, RandomPairingReservoir
+from repro.sampling.random_pairing import PackedEdgeReservoir
 
 
 class TestRandomPairing:
@@ -30,6 +31,45 @@ class TestRandomPairing:
                 return
             rp.commit(proposal)
         pytest.fail("never saw a rejection in 100 offers to a size-1 reservoir")
+
+    def test_commit_of_a_resident_evicts_nothing(self):
+        rp = RandomPairingReservoir(2, seed=0)
+        rp.insert("a")
+        rp.insert("b")
+        with pytest.raises(ValueError, match="duplicate sample item"):
+            rp.commit(InsertProposal("a", admit=True, evicted="b"))
+        assert sorted(rp.items()) == ["a", "b"]
+
+    def test_update_many_draws_as_one_event_at_a_time(self):
+        # Deletions, pairing and steady state, and a resident added
+        # again: the batch stops there exactly as the per-event calls do.
+        rng = random.Random(8)
+        keys, deletes, live = [], [], []
+        for position in range(400):
+            if live and rng.random() < 0.3:
+                keys.append(live.pop(rng.randrange(len(live))))
+                deletes.append(position)
+            else:
+                key = rng.randrange(60)
+                keys.append(key)
+                live.append(key)
+        per_event = PackedEdgeReservoir(12, seed=4)
+        for position, key in enumerate(keys):
+            if position in deletes:
+                per_event.delete(key)
+                continue
+            proposal = per_event.propose_insert(key)
+            if proposal.admit:
+                try:
+                    per_event.commit(proposal)
+                except ValueError as error:
+                    expected = (position, str(error))
+                    break
+        batched = PackedEdgeReservoir(12, seed=4)
+        changes, stop, error = batched.update_many(keys, deletes)
+        assert (stop, str(error)) == expected
+        assert batched.get_state() == per_event.get_state()
+        assert len(changes) > 0
 
     def test_delete_from_sample_and_outside(self):
         rp = RandomPairingReservoir(2, seed=0)

@@ -208,7 +208,7 @@ class _InjectedRandom:
 
 class _InjectedGenerator:
     """Stands in for the numpy reservoir's PCG64 Generator, answering
-    the three call shapes ``insert_many``/``insert_fast`` use."""
+    the three call shapes ``insert_many``/``propose_insert`` use."""
 
     def integers(self, low, high=None, size=None):
         if high is None:
@@ -266,13 +266,12 @@ class TestInjectedRngEquivalence:
 
         scalar = PackedEdgeReservoir(40, seed=3)
         scalar._rng = _InjectedRandom()
-        from repro.sampling.random_pairing import NOT_ADMITTED
-
-        scalar_admitted = [
-            i
-            for i, key in enumerate(keys)
-            if scalar.insert_fast(int(key)) is not NOT_ADMITTED
-        ]
+        scalar_admitted = []
+        for i, key in enumerate(keys):
+            proposal = scalar.propose_insert(int(key))
+            if proposal.admit:
+                scalar.commit(proposal)
+                scalar_admitted.append(i)
 
         vectorized = NumpyPackedEdgeReservoir(40, seed=3)
         vectorized._gen = _InjectedGenerator()
@@ -446,8 +445,7 @@ class TestNumpyPersistence:
 
     def test_scalar_state_refused_by_numpy_reservoir(self):
         scalar = PackedEdgeReservoir(8, seed=1)
-        for key in range(20):
-            scalar.insert_fast(key)
+        scalar.update_many(list(range(20)))
         with pytest.raises(ValueError, match="np_rng_state"):
             NumpyPackedEdgeReservoir.from_state(scalar.get_state())
 
@@ -512,6 +510,72 @@ class TestKernelDeletions:
         assert stats.sample_deletions > 0
         if form in ("tuples", "list_columns"):
             assert stats.vertex_adds > 0
+
+    @pytest.mark.parametrize("kernel", ["scalar", "numpy"])
+    @pytest.mark.parametrize("form", ["tuples", "edge_events_among_tuples", "list_columns"])
+    def test_vertex_events_split_a_batch_into_array_segments(self, kernel, form):
+        """Vertex events split one long batch into segments, and each
+        long segment still interns as arrays: every label lands in the
+        kernel's dense label cache, which the plain-Python steps never
+        fill. On scalar the result equals per-event processing; on numpy,
+        whose batched draws differ, the partition is the sample's
+        components."""
+        events = (
+            [(ADD, i, i + 1) for i in range(100)]
+            + [(EventKind.DELETE_VERTEX, 3, None)]
+            + [(ADD, i, i + 1) for i in range(200, 300)]
+            + [(ADDV, 999, None)]
+            + [(ADD, i, i + 1) for i in range(400, 500)]
+        )
+        if form == "list_columns":
+            batch = _columns(events, arrays=False)
+        elif form == "edge_events_among_tuples":
+            batch = [EdgeEvent(*e) if i % 3 == 0 else e for i, e in enumerate(events)]
+        else:
+            batch = events
+        config = self._config(kernel=kernel)
+        clusterer = StreamingGraphClusterer(config)
+        clusterer.apply_many(batch)
+        label_map = clusterer._kernel._label_map
+        for label in clusterer.interner.labels():
+            assert label == 999 or label_map[label] >= 0, label
+        assert clusterer.kernel_fallback_events == 1
+        assert clusterer.snapshot() == _from_scratch(clusterer)
+        if kernel == "scalar":
+            reference = StreamingGraphClusterer(config)
+            for event in events:
+                reference.apply(EdgeEvent(*event))
+            assert pickle.dumps(clusterer.get_state()) == pickle.dumps(reference.get_state())
+
+    @pytest.mark.parametrize("kernel", ["scalar", "numpy"])
+    def test_dropped_clusterer_is_freed_without_the_cycle_collector(self, kernel):
+        """The batch kernel must not keep its clusterer alive: a dropped
+        clusterer is freed at once, not at the next cyclic collection."""
+        import gc
+        import weakref
+
+        clusterer = StreamingGraphClusterer(self._config(kernel=kernel))
+        clusterer.apply_many(_mixed_events(300, 40, seed=3))
+        ref = weakref.ref(clusterer)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del clusterer
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("kernel", ["scalar", "numpy"])
+    def test_unhashable_label_raises_after_its_prefix(self, kernel):
+        """A label that cannot be interned raises after the events before
+        it are applied completely, as on the per-event path."""
+        clusterer = StreamingGraphClusterer(self._config(kernel=kernel))
+        with pytest.raises(TypeError):
+            clusterer.apply_many([(ADD, 1, 2), (ADD, 3, 4), (ADD, [5], 6), (ADD, 7, 8)])
+        assert clusterer.stats.events == clusterer.stats.admissions == 2
+        assert sorted(clusterer.reservoir_edges()) == [(1, 2), (3, 4)]
+        assert sorted(clusterer.vertices()) == [1, 2, 3, 4]
 
     @pytest.mark.parametrize("track_graph", [False, True])
     def test_tuples_and_columns_byte_identical(self, track_graph):
@@ -586,13 +650,27 @@ class TestKernelDeletions:
             )
 
         assert observable(batched) == observable(per_event)
-        labels = batched.interner.labels()
-        if case == "self_loop_delete":
-            # Nothing after the self-loop is interned, like the per-event path.
-            assert labels == per_event.interner.labels()
-        else:
-            # Batch interning ran ahead of the failing event.
-            assert labels[: len(per_event.interner)] == per_event.interner.labels()
+        # Nothing the failing event did not reach stays interned.
+        assert batched.interner.labels() == per_event.interner.labels()
+
+    @pytest.mark.parametrize("form", ["tuples", "list_columns", "array_columns"])
+    @pytest.mark.parametrize("case", sorted(_ERROR_CASES))
+    def test_scalar_errors_match_per_event_path(self, case, form):
+        """The scalar kernel stops where the per-event path stops, with
+        every counter and the intern table equal, byte for byte."""
+        overrides, events, error_type, message = self._ERROR_CASES[case]
+        config = self._config(kernel="scalar", **overrides)
+        per_event = StreamingGraphClusterer(config)
+        with pytest.raises(error_type) as expected:
+            for event in events:
+                per_event.apply(EdgeEvent(*event))
+        batched = StreamingGraphClusterer(config)
+        with pytest.raises(error_type) as got:
+            _feed(batched, events, form)
+        assert str(got.value) == str(expected.value) == message
+        assert batched.interner.labels() == per_event.interner.labels()
+        assert pickle.dumps(batched.get_state()) == pickle.dumps(per_event.get_state())
+        assert batched.snapshot() == per_event.snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -692,8 +770,7 @@ class TestLabelCatchUp:
 class TestFromStateIdLimit:
     def _state_with_keys(self, keys, capacity=8):
         reservoir = PackedEdgeReservoir(capacity, seed=5)
-        for key in keys:
-            reservoir.insert_fast(key)
+        reservoir.update_many(list(keys))
         return reservoir.get_state()
 
     def test_accepts_in_range(self):
@@ -709,7 +786,7 @@ class TestFromStateIdLimit:
 
     def test_numpy_subclass_inherits_validation(self):
         reservoir = NumpyPackedEdgeReservoir(8, seed=5)
-        reservoir.insert_fast((9 << 32) | 1)
+        reservoir.insert_many(np.array([(9 << 32) | 1], dtype=np.uint64))
         with pytest.raises(ValueError, match="intern table"):
             NumpyPackedEdgeReservoir.from_state(
                 reservoir.get_state(), id_limit=9
