@@ -13,14 +13,64 @@ a fixed workload and reports cluster-shape and quality consequences:
 Expected shape: unconstrained has a giant cluster and poor NMI; the
 size bound trades a hair of coverage for large NMI gains, best when the
 bound ≈ the true maximum community size (97 for amazon_like).
+
+The quality rows run the scalar kernel one event at a time. A paired
+throughput table (``metadata["throughput"]``) times the unconstrained
+and ``MaxClusterSize(120)`` configurations per event
+(``process(events)``) against batches of 1024, on both kernels: the
+policy vetoes inside the batch kernel's sampling loop, so a constrained
+stream batches as an unconstrained one does.
 """
 
+import statistics
+import time
+
 from bench_common import dataset_events, finish, run_streaming, score_partition
-from repro.bench import ExperimentResult
-from repro.core import MaxClusterSize, MinClusterCount
+from repro.bench import ExperimentResult, render_table
+from repro.core import ClustererConfig, MaxClusterSize, MinClusterCount, StreamingGraphClusterer
 from repro.graph import AdjacencyGraph
 
 BOUNDS = (30, 60, 120, 240, 480)
+
+#: Repetitions of each (per-event, batched) pair; the order alternates.
+THROUGHPUT_REPS = 3
+BATCH = 1024
+
+
+def _events_per_second(events, capacity, constraint, kernel, batch_size):
+    config = dict(reservoir_capacity=capacity, strict=False, seed=6, kernel=kernel)
+    if constraint is not None:
+        config["constraint"] = constraint
+    clusterer = StreamingGraphClusterer(ClustererConfig(**config))
+    start = time.perf_counter()
+    clusterer.process(events, batch_size=batch_size)
+    return len(events) / (time.perf_counter() - start)
+
+
+def throughput_rows(events, capacity):
+    """Per-event against batch-1024 events/s, paired and order-balanced,
+    for the unconstrained and ``MaxClusterSize(120)`` configurations on
+    both kernels (medians over :data:`THROUGHPUT_REPS` pairs)."""
+    rows = []
+    for name, constraint in (("unconstrained", None), ("MaxClusterSize(120)", MaxClusterSize(120))):
+        for kernel in ("scalar", "numpy"):
+            per_event, batched = [], []
+            for rep in range(THROUGHPUT_REPS):
+                for batch_size in (None, BATCH) if rep % 2 == 0 else (BATCH, None):
+                    rate = _events_per_second(events, capacity, constraint, kernel, batch_size)
+                    (per_event if batch_size is None else batched).append(rate)
+            rows.append(
+                dict(
+                    constraint=name,
+                    kernel=kernel,
+                    per_event_eps=round(statistics.median(per_event)),
+                    batch_1024_eps=round(statistics.median(batched)),
+                    speedup=round(
+                        statistics.median(b / p for b, p in zip(batched, per_event)), 2
+                    ),
+                )
+            )
+    return rows
 
 
 def test_e8_constraints(benchmark):
@@ -62,7 +112,9 @@ def test_e8_constraints(benchmark):
     row = score_partition(floor.snapshot(), dataset, graph)
     result.add_row(constraint="MinClusterCount(500)", vetoes=floor.stats.vetoes, **row)
     assert row["clusters"] >= 500
+    result.metadata["throughput"] = throughput_rows(events, capacity)
     finish(result)
+    print(render_table(result.metadata["throughput"], title="e8 throughput (events/s)"))
 
     rows = {r["constraint"]: r for r in result.rows}
     # The well-chosen bound beats unconstrained by a wide margin.

@@ -1,12 +1,13 @@
-"""The batch kernel: the one batched ingestion path of both kernels.
+"""The batch kernel: the one ingestion path of both kernels.
 
-:meth:`StreamingGraphClusterer.apply_many` hands every batch of an
-unconstrained configuration to :class:`BatchKernel`. A segment of edge
-events goes through these steps once, in this order:
+:meth:`StreamingGraphClusterer.apply_many` hands every batch to
+:class:`BatchKernel`, and :meth:`StreamingGraphClusterer.apply` a
+one-event batch, constrained or not. A segment of edge events goes
+through these steps once, in this order:
 
-1. **Intern** — the labels become ids in the per-event path's
-   first-touch order (lo-then-hi per event, event order), so every path
-   builds the identical label table.
+1. **Intern** — the labels become ids in first-touch order (lo-then-hi
+   per event, event order), so every split of a stream builds the
+   identical label table.
 2. **Tracked graph** — additions and deletions update the tracked
    adjacency in event order. A duplicate addition or a deletion of an
    absent edge is malformed: counted and skipped, or raised under
@@ -15,16 +16,22 @@ events goes through these steps once, in this order:
    universe are registered in first-touch order.
 4. **Pack** — ``(min_id << 32) | max_id`` keys.
 5. **Sample** — the only step that differs by kernel. ``scalar``:
-   :meth:`PackedEdgeReservoir.update_many` walks the keys in event
-   order with the per-event path's exact Mersenne-Twister draws and
-   returns the sample changes in order; the kernel links and cuts each
-   one at once, so every counter is exact and every split of a stream
-   into batches is byte-identical to per-event processing. ``numpy``:
-   each run of additions between two deletions goes through
-   :meth:`NumpyPackedEdgeReservoir.insert_many`, which draws a whole
-   run in two vectorized calls, and each deletion through
-   ``reservoir.delete``; the changes go into the sample-change log
-   instead of the labels.
+   :meth:`RandomPairingReservoir.update_many` walks the keys in event
+   order with exact Mersenne-Twister draws and returns the sample
+   changes in order; the kernel links and cuts each one at once, so
+   every counter is exact and every split of a stream into batches is
+   byte-identical. ``numpy``: each run of additions between two
+   deletions goes through :meth:`NumpyPackedEdgeReservoir.insert_many`,
+   which draws a whole run in two vectorized calls, and each deletion
+   through ``reservoir.delete``; unconstrained, the changes go into the
+   sample-change log instead of the labels.
+
+Under a constraint, both samplers ask the kernel's veto hook after an
+admission's draws and before its eviction. The hook links and cuts the
+changes sampled so far, so the policy sees current components, and
+hands the policy the labels through :class:`_AsOfEvent`, which leaves
+out of the component count the segment's registrations that later
+events made (step 3 registered the whole segment first).
 
 A batch splits into segments at its vertex events. A segment of at
 least :data:`_SMALL_BATCH` int labels runs steps 1, 3 and 4 on whole
@@ -32,34 +39,33 @@ arrays (``np.minimum/maximum``, a dense label→id cache or
 ``np.unique``, a registration bitmap) and step 2 in a tight loop.
 Shorter batches and segments, and other labels, run steps 1 to 4 event
 by event in :meth:`BatchKernel._apply_small`. ``ADD_VERTEX`` registers
-in place; ``DELETE_VERTEX``, which needs current adjacency, is the only
-event that falls back to the per-event path
+in place; ``DELETE_VERTEX``, which needs current adjacency, brings the
+labels up to date and runs the clusterer's vertex deletion
 (``kernel_fallback_events``).
 
-Errors keep the per-event prefix: when an event raises, the events
-before it are applied completely, the raising event is counted as the
-per-event path counts it, and the ids and vertex registrations only
-later events brought are forgotten. On the numpy kernel a duplicate
-sample key found inside ``insert_many`` stops the batch at the end of
-that run of additions, whose draws are all spent.
+Errors keep the prefix one event at a time would apply: when an event
+raises, the events before it are applied completely, the raising event
+is counted as it would be alone, and the ids and vertex registrations
+only later events brought are forgotten. On the numpy kernel a
+duplicate sample key found inside ``insert_many`` stops the batch at the
+end of that run of additions, whose draws are all spent.
 
-The sample-change log (numpy only) holds the net change of the sample
-since the labels were last brought up to date: ``fresh`` keys are
-sampled but not linked, ``stale`` keys are linked but no longer
+The sample-change log (unconstrained numpy only) holds the net change
+of the sample since the labels were last brought up to date: ``fresh``
+keys are sampled but not linked, ``stale`` keys are linked but no longer
 sampled. The next reader calls :meth:`BatchKernel.sync`, which cuts the
 stale keys and links the fresh ones, O(changed keys) instead of
 O(sample); a log past a quarter of the sample is dropped and that read
 rebuilds the labels in one pass. A net diff cannot attribute merges or
-splits to events, so on numpy ``component_merges`` and
-``component_splits`` count only events applied on the per-event path;
-its other counters are exact (docs/performance.md, "Statistics
-contract").
+splits to events, so there ``component_merges`` and
+``component_splits`` count only the splits of vertex deletions; its
+other counters are exact (docs/performance.md, "Statistics contract").
 """
 
 from __future__ import annotations
 
 import weakref
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import islice
 from operator import itemgetter
 from typing import (
@@ -76,6 +82,7 @@ from typing import (
 
 import numpy as np
 
+from repro.core.constraints import Unconstrained
 from repro.errors import StreamError
 
 # Not called here any more. The served-stream benchmark's traced
@@ -132,15 +139,16 @@ class BatchKernel:
     """Batch executor bound to one clusterer, for either kernel.
 
     Everything it touches is the clusterer's own state — reservoir,
-    interner, tracked graph, component labels — so per-event processing
-    (vertex deletions, ``apply``) can interleave freely. On the numpy
-    kernel :meth:`sync` brings the component labels up to date with the
-    sample before any per-event code reads them.
+    interner, tracked graph, component labels. On the unconstrained
+    numpy kernel :meth:`sync` brings the component labels up to date
+    with the sample before anything reads them.
     """
 
     __slots__ = (
         "_c",
         "_exact",
+        "_policy",
+        "_view",
         "_registered",
         "_reg_epoch",
         "_reg_count",
@@ -162,9 +170,12 @@ class BatchKernel:
         # would make every clusterer a cycle that outlives its last user
         # until the cyclic collector runs.
         self._c = weakref.ref(clusterer)
-        # Scalar kernel: sample with the exact per-event draws and keep
-        # the labels current; numpy: sample vectorized and log.
+        # Scalar kernel: sample with ``update_many``'s exact draws; numpy:
+        # sample vectorized.
         self._exact = clusterer.config.kernel == "scalar"
+        constraint = clusterer.config.constraint
+        self._policy = None if type(constraint) is Unconstrained else constraint
+        self._view = _AsOfEvent(clusterer._components)
         # Registration bitmap over ids, valid for one vertex epoch and
         # caught up lazily with the registrations appended since
         # (``_reg_count`` is how many of the universe's entries it holds).
@@ -186,7 +197,7 @@ class BatchKernel:
         self._overflow = False
 
     # ------------------------------------------------------------------
-    # Reconciliation with the per-event path
+    # The sample-change log
     # ------------------------------------------------------------------
     def sync(self) -> None:
         """Bring the component labels up to date with the sample.
@@ -215,47 +226,6 @@ class BatchKernel:
             link(key >> 32, key & _MASK32)
         fresh.clear()
         stale.clear()
-
-    def _log_run(self, admitted: List[int], evicted: List[int]) -> None:
-        """Log one run's ``insert_many`` outcome in event order: first the
-        fill or pairing admissions, which evicted nothing, then each
-        eviction before the admission that displaced it.
-
-        An admission moves its key out of ``stale``, or else into
-        ``fresh``; an eviction out of ``fresh``, or else into ``stale``.
-        Order matters: in lean mode a key can leave, come back and leave
-        again within one run.
-        """
-        if self._overflow:
-            return
-        fresh = self._fresh
-        stale = self._stale
-        fills = len(admitted) - len(evicted)
-        for key in admitted[:fills]:
-            if key in stale:
-                del stale[key]
-            else:
-                fresh[key] = None
-        for old, key in zip(evicted, admitted[fills:]):
-            if old in fresh:
-                del fresh[old]
-            else:
-                stale[old] = None
-            if key in stale:
-                del stale[key]
-            else:
-                fresh[key] = None
-        self._bound_log()
-
-    def _log_removal(self, key: int) -> None:
-        """Log a sampled key leaving the sample without a replacement."""
-        if self._overflow:
-            return
-        if key in self._fresh:
-            del self._fresh[key]
-        else:
-            self._stale[key] = None
-            self._bound_log()
 
     def _bound_log(self) -> None:
         """Drop the log once replaying it would cost more than a rebuild."""
@@ -427,15 +397,16 @@ class BatchKernel:
                 dels = dels[: bisect_left(dels, stop)]
         fresh = self._register(lo[:stop], hi[:stop], dels, dropped)
         keys, sample_dels, skip = self._pack(lo[:stop], hi[:stop], dels, dropped)
+        veto = None if self._policy is None else self._veto_hook(keys, sample_dels, fresh)
         if self._exact:
             c.kernel_batches += 1
             changes, sampled, sample_error = c._reservoir.update_many(
-                keys.tolist(), sample_dels
+                keys.tolist(), sample_dels, veto
             )
             if changes:
-                self._link(changes)
+                self._take(changes)
         else:
-            sampled, sample_error = self._sample_logged(keys, sample_dels, skip)
+            sampled, sample_error = self._sample_runs(keys, sample_dels, skip, veto)
         if sample_error is not None:
             # A sampling error needs a lean clusterer, which drops nothing:
             # sampled positions are event positions.
@@ -460,10 +431,10 @@ class BatchKernel:
         """Apply a short batch of ``(kind, u, v)`` tuples or
         :class:`EdgeEvent` objects in plain Python.
 
-        Steps 1 to 4 of the module docstring run event by event, with
-        the per-event path's checks in its order; the keys of each run of
-        edge events between two vertex events then go to the kernel's
-        sampler in one call. A raising event ends the batch after the
+        Steps 1 to 4 of the module docstring run event by event, each
+        event's checks in order; the keys of each run of edge events
+        between two vertex events then go to the kernel's sampler in one
+        call. A raising event ends the batch after the
         events before it are sampled; a sampling error also forgets what
         the run's later events interned and registered.
         """
@@ -578,14 +549,15 @@ class BatchKernel:
                 graph._id_count += g_vertices
                 graph._num_edges += g_edges
             if keys:
+                veto = None if self._policy is None else self._veto_hook(keys, dels, fresh)
                 if exact:
                     c.kernel_batches += 1
-                    changes, sampled, sample_error = c._reservoir.update_many(keys, dels)
+                    changes, sampled, sample_error = c._reservoir.update_many(keys, dels, veto)
                     if changes:
-                        self._link(changes)
+                        self._take(changes)
                 else:
-                    sampled, sample_error = self._sample_logged(
-                        np.array(keys, dtype=np.uint64), dels, skip
+                    sampled, sample_error = self._sample_runs(
+                        np.array(keys, dtype=np.uint64), dels, skip, veto
                     )
                 if sample_error is not None:
                     # Lean only, so every event made a key: forget the
@@ -656,7 +628,7 @@ class BatchKernel:
             ids_flat = lmap[flat]
             unknown = ids_flat < 0
             if unknown.any():
-                # Assign new ids in the order the per-event path would:
+                # Assign new ids in the order one event at a time would:
                 # by the label's first appearance in the lo/hi-interleaved
                 # stream (np.unique's return_index preserves that order
                 # within the unknown subset).
@@ -701,8 +673,8 @@ class BatchKernel:
         Returns the positions of the malformed events (a duplicate
         addition, a deletion of an absent edge), the number of events
         consumed and the pending :class:`StreamError`. Under ``strict``
-        the first malformed event raises: it is consumed (the per-event
-        path counts it) but not applied, and it ends the segment.
+        the first malformed event raises: it is consumed (counted as an
+        event) but not applied, and it ends the segment.
         """
         c = self._c()
         graph = c._graph
@@ -869,25 +841,55 @@ class BatchKernel:
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    def _link(self, changes: List[Tuple[int, int]]) -> None:
-        """Scalar kernel: cut and link the sample changes of
-        :meth:`PackedEdgeReservoir.update_many` in event order, counting
-        them exactly."""
+    def _take(self, changes: List[Tuple[Optional[int], Optional[int]]]) -> None:
+        """Count a sampler's changes, ``(gone, came)`` pairs in event order
+        (None for no key), and bring them into the component labels: cut
+        and linked at once, merges and splits counted, or logged on the
+        unconstrained numpy kernel.
+
+        A logged admission moves its key out of ``stale``, or else into
+        ``fresh``; a logged removal out of ``fresh``, or else into
+        ``stale``. Order matters: in lean mode a key can leave, come back
+        and leave again within one run.
+        """
         c = self._c()
-        components = c._components
-        cut = components.cut
-        link = components.link
-        merges = splits = evictions = removals = 0
-        for gone, came in changes:
-            if gone >= 0:
-                if cut(gone >> 32, gone & _MASK32):
-                    splits += 1
-                if came < 0:
-                    removals += 1
-                    continue
-                evictions += 1
-            if link(came >> 32, came & _MASK32):
-                merges += 1
+        removals = evictions = merges = splits = 0
+        if c._lagging:
+            fresh = self._fresh
+            stale = self._stale
+            log = not self._overflow
+            for gone, came in changes:
+                if gone is not None:
+                    if came is None:
+                        removals += 1
+                    else:
+                        evictions += 1
+                    if log:
+                        if gone in fresh:
+                            del fresh[gone]
+                        else:
+                            stale[gone] = None
+                if log and came is not None:
+                    if came in stale:
+                        del stale[came]
+                    else:
+                        fresh[came] = None
+            if log:
+                self._bound_log()
+        else:
+            components = c._components
+            cut = components.cut
+            link = components.link
+            for gone, came in changes:
+                if gone is not None:
+                    if cut(gone >> 32, gone & _MASK32):
+                        splits += 1
+                    if came is None:
+                        removals += 1
+                        continue
+                    evictions += 1
+                if link(came >> 32, came & _MASK32):
+                    merges += 1
         stats = c.stats
         stats.admissions += len(changes) - removals
         stats.evictions += evictions
@@ -896,31 +898,62 @@ class BatchKernel:
         stats.component_splits += splits
         c._invalidate()
 
-    def _sample_logged(self, keys: np.ndarray, dels: List[int], skip: Collection[int]):
+    def _veto_hook(self, keys, dels: Sequence[int], fresh: List[int]):
+        """The samplers' veto for a segment: ``keys`` are its packed keys,
+        ``dels`` the positions of the deletions among them, and ``fresh``
+        the ids its additions registered, in first-touch order.
+
+        Each call first takes the changes sampled so far, so the policy
+        sees current components, then asks the policy through
+        :class:`_AsOfEvent`, which leaves out the registrations of
+        ``fresh`` that later events of the segment made.
+        """
+        policy = self._policy
+        view = self._view
+        view.later = 0
+        stats = self._c().stats
+        registered_at: List[int] = []
+
+        def veto(i: int, key: int, changes: list) -> bool:
+            if changes:
+                self._take(changes)
+                changes.clear()
+            if fresh:
+                if not registered_at:
+                    registered_at.extend(_first_additions(keys, dels, fresh))
+                view.later = len(fresh) - bisect_right(registered_at, i)
+            if policy.allows(view, key >> 32, key & _MASK32):
+                return False
+            stats.vetoes += 1
+            return True
+
+        return veto
+
+    def _sample_runs(self, keys: np.ndarray, dels: List[int], skip: Collection[int], veto):
         """Numpy kernel: one ``insert_many`` per run of additions and one
         ``reservoir.delete`` per deletion not in ``skip`` (the malformed
-        ones), changes logged. Returns the position of the event that
-        raised and its error, or the number of events and None."""
+        ones), each outcome taken at once. Returns the position of the
+        event that raised and its error, or the number of events and
+        None."""
         c = self._c()
         reservoir = c._reservoir
-        stats = c.stats
         n = int(keys.size)
         start = 0
         for end in (*dels, n):
             if start < end:
-                admitted: List[int] = []
-                evicted: List[int] = []
+                changes: list = []
                 c.kernel_batches += 1
+                run_veto = None
+                if veto is not None:
+                    def run_veto(i, key, changes, start=start):
+                        return veto(start + i, key, changes)
                 try:
-                    reservoir.insert_many(keys[start:end], admitted=admitted, evicted=evicted)
+                    reservoir.insert_many(keys[start:end], changes, run_veto)
                 except ValueError as error:
                     return end - 1, error
                 finally:
-                    if admitted:
-                        stats.admissions += len(admitted)
-                        stats.evictions += len(evicted)
-                        self._log_run(admitted, evicted)
-                        c._invalidate()
+                    if changes:
+                        self._take(changes)
             start = end + 1
             if end == n or end in skip:
                 continue
@@ -930,28 +963,87 @@ class BatchKernel:
             except ValueError as error:
                 return end, error
             if sampled:
-                stats.sample_deletions += 1
-                self._log_removal(key)
-                c._invalidate()
+                self._take([(key, None)])
         return n, None
 
     # ------------------------------------------------------------------
     # Vertex events
     # ------------------------------------------------------------------
     def _apply_vertex_event(self, kind, u, v) -> None:
-        """An ``ADD_VERTEX`` registers in place (it reads no labels);
-        anything else (a ``DELETE_VERTEX``, which needs current
-        adjacency) takes the per-event path."""
+        """An ``ADD_VERTEX`` registers in place (it reads no labels); a
+        ``DELETE_VERTEX``, which needs current adjacency, brings the
+        labels up to date and runs the clusterer's vertex deletion."""
+        if kind is not EventKind.ADD_VERTEX and kind is not EventKind.DELETE_VERTEX:
+            raise ValueError(f"unknown event kind {kind!r}")
+        if v is not None:
+            raise ValueError(f"{kind.value} event takes a single vertex")
         c = self._c()
         if kind is EventKind.ADD_VERTEX:
-            if v is not None:
-                raise ValueError(f"{kind.value} event takes a single vertex")
             c.stats.events += 1
+            c.stats.vertex_adds += 1
             c.kernel_events += 1
-            c._on_add_vertex(u)
+            uid = c._intern.intern(u)
+            if c._graph is not None:
+                c._graph.add_vertex_id(uid)
+            if c._components.add_vertex(uid):
+                c._invalidate()
             return
         c.kernel_fallback_events += 1
-        c.apply(EdgeEvent(kind, u, v))
+        self.sync()
+        c.stats.events += 1
+        c._on_delete_vertex(u)
+
+
+def _first_additions(keys, dels: Sequence[int], fresh: List[int]) -> List[int]:
+    """For each id in ``fresh``, the position of the first addition among
+    ``keys`` (deletions at positions ``dels``) that touches it, ascending."""
+    if type(keys) is not list:
+        keys = keys.tolist()
+    waiting = set(fresh)
+    deleted = set(dels)
+    positions: List[int] = []
+    for i, key in enumerate(keys):
+        if i in deleted:
+            continue
+        for vid in (key >> 32, key & _MASK32):
+            if vid in waiting:
+                waiting.discard(vid)
+                positions.append(i)
+        if not waiting:
+            break
+    return positions
+
+
+class _AsOfEvent:
+    """The component labels as a veto at one event of a segment sees them.
+
+    The kernel registers a whole segment's endpoints before it samples
+    any of it, and the labels count every registered vertex without a
+    sampled edge as a singleton component. ``later`` is the number of the
+    segment's registrations first made by events after the one asked
+    about (singletons at that point); the view leaves them out of the
+    component and vertex counts, so each veto sees what it would see one
+    event at a time. Everything else reads the labels.
+    """
+
+    __slots__ = ("_labels", "later", "connected", "component_size")
+
+    def __init__(self, labels) -> None:
+        self._labels = labels
+        self.later = 0
+        self.connected = labels.connected
+        self.component_size = labels.component_size
+
+    def __getattr__(self, name: str):
+        return getattr(self._labels, name)
+
+    @property
+    def num_components(self) -> int:
+        return self._labels.num_components - self.later
+
+    @property
+    def num_vertices(self) -> int:
+        return self._labels.num_vertices - self.later
 
 
 #: The name the served-stream benchmark's traced launcher patches

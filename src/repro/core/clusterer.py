@@ -35,17 +35,19 @@ all ingestion paths (per-event, batched, either kernel, inline or in a
 pipeline worker) build the identical table and make RNG-identical
 sampling decisions.
 
-Batched ingestion
------------------
-:meth:`StreamingGraphClusterer.apply_many` is the high-throughput entry
-point. For the unconstrained configuration it hands the whole batch to
-the batch kernel (:mod:`repro.core.batchkernel`), which interns,
-registers and packs it once and then samples it. Under the scalar
-kernel the sampling replays the per-event path's draws and updates the
-component labels as it goes, so the end-to-end result — partition,
-statistics, reservoir content, and RNG state — is identical to the
-per-event path for any split into batches (property-tested in
-``tests/test_apply_many_property.py``). See ``docs/performance.md``.
+Ingestion
+---------
+Every event goes through the batch kernel (:mod:`repro.core.batchkernel`):
+:meth:`StreamingGraphClusterer.apply_many` hands it a batch, and
+:meth:`StreamingGraphClusterer.apply` a one-event batch. The kernel
+interns, registers and packs a batch once and then samples it, asking
+the constraint policy inside the sampler's loop. Under the scalar kernel
+the sampling makes the same draws whatever the batch boundaries and
+updates the component labels as it goes, so the end-to-end result —
+partition, statistics, reservoir content, and RNG state — is identical
+for any split into batches (property-tested in
+``tests/test_apply_many_property.py`` against a per-event model). See
+``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ from repro.streams.events import (
     Edge,
     EdgeEvent,
     EventColumns,
-    EventKind,
     RawEvent,
     Vertex,
     canonical_edge,
@@ -165,8 +166,8 @@ class StreamingGraphClusterer:
         #: tests and benchmarks; not part of the persisted state.
         self.partition_builds = 0
         #: Probe counters for the batch kernel (not persisted): sampling
-        #: runs executed, events it applied, and events that fell back to
-        #: the per-event path inside ``apply_many`` (vertex deletions).
+        #: runs executed, events it applied, and events that left its
+        #: loop for the clusterer's vertex deletion.
         self.kernel_batches = 0
         self.kernel_events = 0
         self.kernel_fallback_events = 0
@@ -187,12 +188,13 @@ class StreamingGraphClusterer:
         # first use and again after a reset (the registry's generation).
         self._metric_handles: Dict[str, _obs.Metric] = {}
         self._metrics_generation = -1
-        #: Runs every unconstrained ``apply_many`` batch.
+        # Only the unconstrained numpy kernel lets the labels lag the
+        # sample: the batch kernel logs the changes and replays them
+        # through ``_kernel.sync()``, which every reader calls. A policy's
+        # vetoes need current components, so under one it links at once.
+        self._lagging = config.kernel == "numpy" and type(config.constraint) is Unconstrained
+        #: Runs every event: ``apply`` and ``apply_many`` alike.
         self._kernel = BatchKernel(self)
-        # Only the numpy kernel lets the labels lag the sample: it logs
-        # the changes and replays them through ``_kernel.sync()``, which
-        # ``apply`` and every reader call.
-        self._lagging = config.kernel == "numpy"
 
     def _make_reservoir(self, seed: int) -> PackedEdgeReservoir:
         """Reservoir matching the configured kernel (scalar MT / numpy PCG64)."""
@@ -208,48 +210,24 @@ class StreamingGraphClusterer:
     # Stream consumption
     # ------------------------------------------------------------------
     def apply(self, event: EdgeEvent) -> None:
-        """Process one stream event."""
-        if self._lagging:
-            self._kernel.sync()
-        self.stats.events += 1
-        kind = event.kind
-        if kind is EventKind.ADD_EDGE:
-            self._on_add_edge(event.u, event.v)
-        elif kind is EventKind.DELETE_EDGE:
-            self._on_delete_edge(event.u, event.v)
-        elif kind is EventKind.ADD_VERTEX:
-            self._on_add_vertex(event.u)
-        elif kind is EventKind.DELETE_VERTEX:
-            self._on_delete_vertex(event.u)
-        else:  # pragma: no cover - enum is closed
-            raise AssertionError(f"unknown event kind {kind!r}")
+        """Process one stream event: a one-event batch through the batch
+        kernel (without :meth:`apply_many`'s metrics sync)."""
+        self._kernel._apply_small((event,))
 
     def apply_many(self, events: Iterable[AnyEvent]) -> "StreamingGraphClusterer":
-        """Process a stream of events through the batched fast path.
+        """Process a batch of events through the batch kernel.
 
         Accepts :class:`EdgeEvent` objects and plain ``(kind, u, v)``
-        tuples (``v=None`` for vertex events) interchangeably; the tuple
-        form skips per-event object construction entirely. The final
+        tuples (``v=None`` for vertex events) interchangeably, or
+        :class:`EventColumns`; the tuple and column forms skip per-event
+        object construction entirely. Under the scalar kernel the final
         state — reservoir content and RNG state, statistics, tracked
-        graph, and clustering — is identical to calling :meth:`apply`
-        per event, for any split of the stream into batches.
-
-        The batch kernel runs every batch of the unconstrained
-        configuration; constrained configurations fall back to per-event
-        processing transparently. Vertex deletions act as batch barriers
-        (they run on the per-event path), so streams where they are rare
-        still batch well. Returns self for chaining.
+        graph, and clustering — is identical for any split of the stream
+        into batches, one event a batch (:meth:`apply`) included.
+        Returns self for chaining.
         """
-        columns = type(events) is EventColumns
         try:
-            if type(self.config.constraint) is not Unconstrained:
-                if columns:
-                    events = events.to_events()
-                for event in events:
-                    if type(event) is tuple:
-                        event = EdgeEvent(event[0], event[1], event[2])
-                    self.apply(event)
-            elif columns:
+            if type(events) is EventColumns:
                 self._kernel.apply_columns(events.kinds, events.us, events.vs)
             else:
                 self._kernel.apply_stream(events)
@@ -294,68 +272,11 @@ class StreamingGraphClusterer:
         self.structure_version += 1
 
     # ------------------------------------------------------------------
-    # Event handlers
+    # Vertex deletion
     # ------------------------------------------------------------------
-    def _on_add_edge(self, u: Vertex, v: Vertex) -> None:
-        # u, v arrive in label-canonical order (EdgeEvent canonicalizes);
-        # interning u-then-v here matches the batched and pipeline paths.
-        self.stats.edge_adds += 1
-        intern = self._intern
-        uid = intern.intern(u)
-        vid = intern.intern(v)
-        if self._graph is not None:
-            if not self._graph.add_edge_ids(uid, vid):
-                self._malformed(f"duplicate ADD_EDGE ({u!r}, {v!r})")
-                return
-        components = self._components
-        fresh_u = components.add_vertex(uid)
-        fresh_v = components.add_vertex(vid)
-        if fresh_u or fresh_v:
-            self._invalidate()
-        key = (uid << 32) | vid if uid < vid else (vid << 32) | uid
-        proposal = self._reservoir.propose_insert(key)
-        if not proposal.admit:
-            return
-        if not self.config.constraint.allows(components, uid, vid):
-            self._reservoir.abort(proposal)
-            self.stats.vetoes += 1
-            return
-        self._reservoir.commit(proposal)
-        self._invalidate()
-        self.stats.admissions += 1
-        evicted = proposal.evicted
-        if evicted is not None:
-            self.stats.evictions += 1
-            if components.cut(evicted >> 32, evicted & _MASK32):
-                self.stats.component_splits += 1
-        if components.link(key >> 32, key & _MASK32):
-            self.stats.component_merges += 1
-
-    def _on_delete_edge(self, u: Vertex, v: Vertex) -> None:
-        self.stats.edge_deletes += 1
-        intern = self._intern
-        uid = intern.intern(u)
-        vid = intern.intern(v)
-        if self._graph is not None:
-            if not self._graph.remove_edge_ids(uid, vid):
-                self._malformed(f"DELETE_EDGE of absent edge ({u!r}, {v!r})")
-                return
-        key = (uid << 32) | vid if uid < vid else (vid << 32) | uid
-        if self._reservoir.delete(key):
-            self.stats.sample_deletions += 1
-            self._invalidate()
-            if self._components.cut(key >> 32, key & _MASK32):
-                self.stats.component_splits += 1
-
-    def _on_add_vertex(self, v: Vertex) -> None:
-        self.stats.vertex_adds += 1
-        uid = self._intern.intern(v)
-        if self._graph is not None:
-            self._graph.add_vertex_id(uid)
-        if self._components.add_vertex(uid):
-            self._invalidate()
-
     def _on_delete_vertex(self, v: Vertex) -> None:
+        """Delete ``v`` and every tracked edge at it. The batch kernel runs
+        this at each ``DELETE_VERTEX``, once the labels are current."""
         self.stats.vertex_deletes += 1
         if self._graph is None:
             raise UnsupportedOperationError(

@@ -800,9 +800,8 @@ class PipelineClusterer:
         """Consume a whole stream; returns self for chaining.
 
         ``batch_size`` overrides the producer buffer size for this call
-        (``None`` keeps the constructor's ``batch_events``). Unlike the
-        single clusterer there is no per-event reference path — frames
-        are how events reach the workers — but with the default scalar
+        (``None`` keeps the constructor's ``batch_events``). Frames are
+        how events reach the workers, but with the default scalar
         kernel frame boundaries cannot change the result: per-shard
         event order is preserved, and the PR-2 split-invariance property
         makes ``apply_many`` insensitive to how a shard's stream is

@@ -328,7 +328,8 @@ class ShardedClusterer:
         """Process a whole stream; returns self for chaining.
 
         ``batch_size`` chunks the stream through :meth:`apply_many`;
-        ``None`` (the default) keeps the per-event reference path.
+        ``None`` (the default) applies one event at a time, each shard
+        taking it as a one-event batch.
         """
         if batch_size is not None:
             check_positive("batch_size", batch_size)

@@ -4,8 +4,9 @@ The paper's fundamental building block — *graph reservoir sampling* —
 is assembled from these pieces:
 
 * :class:`RandomPairingReservoir` — bounded-size uniform sample under
-  insertions **and** deletions (random pairing), with a propose/commit
-  protocol so the clusterer can veto constraint-violating admissions.
+  insertions **and** deletions (random pairing), whose batch update
+  takes a veto hook so the clusterer can refuse constraint-violating
+  admissions.
   The clusterer runs its packed-edge-key subclass
   (:class:`~repro.sampling.random_pairing.PackedEdgeReservoir`), or the
   numpy kernel's (:mod:`repro.sampling.vectorized`).
@@ -13,11 +14,10 @@ is assembled from these pieces:
   substrate of the weighted clusterer extension.
 """
 
-from repro.sampling.random_pairing import InsertProposal, RandomPairingReservoir
+from repro.sampling.random_pairing import RandomPairingReservoir
 from repro.sampling.weighted import WeightedReservoir
 
 __all__ = [
-    "InsertProposal",
     "RandomPairingReservoir",
     "WeightedReservoir",
 ]

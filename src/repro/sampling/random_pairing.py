@@ -23,63 +23,41 @@ newcomer. Slot *order* is part of the observable state (the eviction
 victim is picked by slot index), so it round-trips through
 :meth:`get_state` exactly.
 
-Two-phase insertions
---------------------
-The streaming clusterer must be able to *veto* an admission (constraint
-policies may forbid the merge an edge would cause). The sampler
-therefore exposes a propose/commit protocol:
+Admission
+---------
+:meth:`RandomPairingReservoir.update_many` is the one admission step: it
+walks a batch of insertions and deletions in event order and returns the
+sample changes. The streaming clusterer must be able to *veto* an
+admission (constraint policies may forbid the merge an edge would
+cause), so ``update_many`` takes a hook that it asks after an
+admission's draws and before its eviction:
 
 >>> rp = RandomPairingReservoir(2, seed=1)
->>> proposal = rp.propose_insert("a")
->>> proposal.admit
-True
->>> rp.commit(proposal)          # or rp.abort(proposal) to veto
->>> rp.contains("a")
-True
+>>> rp.update_many(["a", "b", "c"], veto=lambda i, item, changes: item == "b")
+([(None, 'a'), (None, 'c')], 3, None)
+>>> rp.items(), rp.population
+(['a', 'c'], 3)
 
-Counter bookkeeping happens at propose time (the pairing slot is
-consumed whether or not the caller commits), so uniformity is preserved
-exactly in the unconstrained case and degrades only by the vetoes the
-caller actually issues.
-
-A batch of unconstrained updates goes through
-:meth:`PackedEdgeReservoir.update_many` instead, which makes the exact
-same RNG draws in the exact same order as the two-phase protocol — a
-stream driven through it is bit-identical to one driven event by event.
+The draws of a vetoed admission stay spent (its pairing slot is
+consumed too), so uniformity is preserved exactly in the unconstrained
+case and degrades only by the vetoes the caller actually issues.
+:meth:`~RandomPairingReservoir.insert` is a one-item ``update_many``.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Dict, Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.util.rng import make_rng
 from repro.util.validation import check_positive
 
 __all__ = [
-    "InsertProposal",
     "PackedEdgeReservoir",
     "RandomPairingReservoir",
 ]
 
 T = TypeVar("T")
-
-
-@dataclass(frozen=True, slots=True)
-class InsertProposal(Generic[T]):
-    """Outcome of :meth:`RandomPairingReservoir.propose_insert`.
-
-    ``admit`` says whether the sampler wants the item in the sample;
-    ``evicted`` names the resident that would make room (only in the
-    steady-state Algorithm R case). Pass the proposal back to
-    :meth:`~RandomPairingReservoir.commit` or
-    :meth:`~RandomPairingReservoir.abort`.
-    """
-
-    item: T
-    admit: bool
-    evicted: Optional[T] = None
 
 
 class RandomPairingReservoir(Generic[T]):
@@ -227,54 +205,129 @@ class RandomPairingReservoir(Generic[T]):
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def propose_insert(self, item: T) -> InsertProposal[T]:
-        """Account for an insertion and propose a sample action.
+    def update_many(
+        self,
+        items: Sequence[T],
+        deletes: Sequence[int] = (),
+        veto: Optional[Callable[[int, T, list], bool]] = None,
+    ) -> Tuple[List[Tuple[Optional[T], Optional[T]]], int, Optional[ValueError]]:
+        """Account for a batch of updates in event order.
 
-        Counter updates happen here; the sample itself is only modified
-        by a subsequent :meth:`commit`.
+        The ascending positions in ``deletes`` are deletions, every other
+        item an insertion. An insertion is paired with a random
+        uncompensated deletion while any is pending, fills a free slot,
+        or else takes the Algorithm R step against the live population,
+        evicting a victim picked by slot index. Each draw is
+        ``randrange``'s accept-reject loop over ``getrandbits``, bit for
+        bit.
+
+        Once an insertion's draws admit it, ``veto(i, item, changes)`` (if
+        given) may refuse it by returning True: its draws stay spent and
+        nothing is evicted. ``changes`` is the list this call returns,
+        built so far; the hook may apply and clear it, and the call then
+        returns only the changes made after.
+
+        Returns ``(changes, stop, error)``: the sample changes in event
+        order as ``(gone, came)`` pairs, None for no item; and None, or
+        the error the update at position ``stop`` raises (a sampled item
+        added again, after its draws and veto and before any eviction; a
+        deletion from an empty population), where the batch stopped.
+        Without an error ``stop`` is ``len(items)``.
         """
-        self._population += 1
-        pending = self._c_bad + self._c_good
-        if pending > 0:
-            # Pair this insertion with a random uncompensated deletion.
-            if self._rng.randrange(pending) < self._c_bad:
-                self._c_bad -= 1
-                return InsertProposal(item, admit=True)
-            self._c_good -= 1
-            return InsertProposal(item, admit=False)
-        if len(self._slots) < self._capacity:
-            return InsertProposal(item, admit=True)
-        # Steady state: classic Algorithm R against the live population.
-        if self._rng.randrange(self._population) < self._capacity:
-            evicted = self._slots[self._rng.randrange(len(self._slots))]
-            return InsertProposal(item, admit=True, evicted=evicted)
-        return InsertProposal(item, admit=False)
+        slots = self._slots
+        slot_of = self._slot_of
+        getrandbits = self._rng.getrandbits
+        capacity = self._capacity
+        population = self._population
+        c_bad = self._c_bad
+        c_good = self._c_good
+        changes: List[Tuple[Optional[T], Optional[T]]] = []
+        # Kept in step with the counters and the slots below, so the
+        # common update tests two locals: c_bad + c_good, free slots.
+        pending = c_bad + c_good
+        free = capacity - len(slots)
+        d = 0
+        next_delete = deletes[0] if deletes else -1
+        try:
+            for i, item in enumerate(items):
+                if i == next_delete:
+                    d += 1
+                    next_delete = deletes[d] if d < len(deletes) else -1
+                    if population <= 0:
+                        return changes, i, ValueError("delete from an empty population")
+                    population -= 1
+                    pending += 1
+                    pos = slot_of.pop(item, None)
+                    if pos is None:
+                        c_good += 1
+                        continue
+                    c_bad += 1
+                    free += 1
+                    last = slots.pop()
+                    if pos < len(slots):
+                        slots[pos] = last
+                        slot_of[last] = pos
+                    changes.append((item, None))
+                    continue
+                population += 1
+                if pending:
+                    # Pair with a random uncompensated deletion.
+                    bits = pending.bit_length()
+                    r = getrandbits(bits)
+                    while r >= pending:
+                        r = getrandbits(bits)
+                    pending -= 1
+                    if r >= c_bad:
+                        c_good -= 1
+                        continue
+                    c_bad -= 1
+                    gone = None
+                elif free:
+                    gone = None
+                else:
+                    # Algorithm R against the live population.
+                    bits = population.bit_length()
+                    r = getrandbits(bits)
+                    while r >= population:
+                        r = getrandbits(bits)
+                    if r >= capacity:
+                        continue
+                    size = len(slots)
+                    bits = size.bit_length()
+                    r = getrandbits(bits)
+                    while r >= size:
+                        r = getrandbits(bits)
+                    gone = slots[r]
+                if veto is not None and veto(i, item, changes):
+                    continue
+                if item in slot_of:
+                    return changes, i, ValueError(f"duplicate sample item {item!r}")
+                if gone is None:
+                    free -= 1
+                else:
+                    pos = slot_of.pop(gone)
+                    last = slots.pop()
+                    if pos < len(slots):
+                        slots[pos] = last
+                        slot_of[last] = pos
+                slot_of[item] = len(slots)
+                slots.append(item)
+                changes.append((gone, item))
+            return changes, len(items), None
+        finally:
+            self._population = population
+            self._c_bad = c_bad
+            self._c_good = c_good
 
-    def commit(self, proposal: InsertProposal[T]) -> None:
-        """Apply an admitting proposal to the sample."""
-        if not proposal.admit:
-            raise ValueError("cannot commit a non-admitting proposal")
-        # Refuse a resident before evicting anything, so a failed commit
-        # leaves the sample as it was (the draws are already spent).
-        if proposal.item in self._slot_of:
-            raise ValueError(f"duplicate sample item {proposal.item!r}")
-        if proposal.evicted is not None:
-            self._discard(proposal.evicted)
-        self._add(proposal.item)
+    def insert(self, item: T) -> bool:
+        """Account for one insertion; True if ``item`` entered the sample.
 
-    def abort(self, proposal: InsertProposal[T]) -> None:
-        """Veto a proposal; the sample is left untouched.
-
-        Counters were already settled at propose time, so this is a
-        recorded no-op kept for call-site symmetry and future auditing.
+        A one-item :meth:`update_many`, whose error it raises.
         """
-
-    def insert(self, item: T) -> InsertProposal[T]:
-        """Convenience: propose and immediately commit if admitting."""
-        proposal = self.propose_insert(item)
-        if proposal.admit:
-            self.commit(proposal)
-        return proposal
+        changes, _, error = self.update_many((item,))
+        if error is not None:
+            raise error
+        return bool(changes)
 
     def delete(self, item: T) -> bool:
         """Account for a deletion; returns True if ``item`` left the sample."""
@@ -306,107 +359,6 @@ class PackedEdgeReservoir(RandomPairingReservoir[int]):
     def __init__(self, capacity: int, seed: int | None = 0) -> None:
         super().__init__(capacity, seed=seed)
         self._slots = array("Q")
-
-    def update_many(
-        self, keys: List[int], deletes: Sequence[int] = ()
-    ) -> Tuple[List[Tuple[int, int]], int, Optional[ValueError]]:
-        """Account for a batch of updates in event order.
-
-        ``keys`` are packed edge keys; the ascending positions in
-        ``deletes`` are deletions, every other key an insertion. Each
-        update draws and decides exactly as :meth:`propose_insert` with
-        :meth:`commit`, or :meth:`delete`, would (``randrange``'s
-        accept-reject loop over ``getrandbits``, bit for bit).
-
-        Returns ``(changes, stop, error)``: the sample changes in event
-        order as ``(gone, came)`` pairs, ``-1`` for no key; and None, or
-        the error the update at position ``stop`` raises one at a time
-        (a sampled key added again, after its draws and before any
-        eviction; a deletion from an empty population), where the batch
-        stopped. Without an error ``stop`` is ``len(keys)``.
-        """
-        slots = self._slots
-        slot_of = self._slot_of
-        getrandbits = self._rng.getrandbits
-        capacity = self._capacity
-        population = self._population
-        c_bad = self._c_bad
-        c_good = self._c_good
-        changes: List[Tuple[int, int]] = []
-        # Kept in step with the counters and the slots below, so the
-        # common update tests two locals: c_bad + c_good, free slots.
-        pending = c_bad + c_good
-        free = capacity - len(slots)
-        d = 0
-        next_delete = deletes[0] if deletes else -1
-        try:
-            for i, key in enumerate(keys):
-                if i == next_delete:
-                    d += 1
-                    next_delete = deletes[d] if d < len(deletes) else -1
-                    if population <= 0:
-                        return changes, i, ValueError("delete from an empty population")
-                    population -= 1
-                    pending += 1
-                    pos = slot_of.pop(key, None)
-                    if pos is None:
-                        c_good += 1
-                        continue
-                    c_bad += 1
-                    free += 1
-                    last = slots.pop()
-                    if pos < len(slots):
-                        slots[pos] = last
-                        slot_of[last] = pos
-                    changes.append((key, -1))
-                    continue
-                population += 1
-                if pending:
-                    # Pair with a random uncompensated deletion.
-                    bits = pending.bit_length()
-                    r = getrandbits(bits)
-                    while r >= pending:
-                        r = getrandbits(bits)
-                    pending -= 1
-                    if r >= c_bad:
-                        c_good -= 1
-                        continue
-                    c_bad -= 1
-                    gone = -1
-                elif free:
-                    gone = -1
-                else:
-                    # Algorithm R against the live population.
-                    bits = population.bit_length()
-                    r = getrandbits(bits)
-                    while r >= population:
-                        r = getrandbits(bits)
-                    if r >= capacity:
-                        continue
-                    size = len(slots)
-                    bits = size.bit_length()
-                    r = getrandbits(bits)
-                    while r >= size:
-                        r = getrandbits(bits)
-                    gone = slots[r]
-                if key in slot_of:
-                    return changes, i, ValueError(f"duplicate sample item {key!r}")
-                if gone >= 0:
-                    pos = slot_of.pop(gone)
-                    last = slots.pop()
-                    if pos < len(slots):
-                        slots[pos] = last
-                        slot_of[last] = pos
-                else:
-                    free -= 1
-                slot_of[key] = len(slots)
-                slots.append(key)
-                changes.append((gone, key))
-            return changes, len(keys), None
-        finally:
-            self._population = population
-            self._c_bad = c_bad
-            self._c_good = c_good
 
     @classmethod
     def from_state(

@@ -34,7 +34,7 @@ scalar kernel *in distribution* (chi-square-tested in
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -113,12 +113,12 @@ class NumpyPackedEdgeReservoir(PackedEdgeReservoir):
     """Packed-edge random-pairing reservoir driven by a PCG64 generator.
 
     Storage, counters, and the random-pairing *logic* are exactly the
-    base class's; every random draw instead comes from
-    ``numpy.random.Generator`` so :meth:`insert_many` can vectorize the
-    steady-state Algorithm R accept/evict decisions for a whole run of
-    insertions. The per-event :meth:`propose_insert` draws scalars from
-    the *same* generator, so batched and per-event processing interleave
-    on one coherent bitstream.
+    base class's; its draws instead come from a
+    ``numpy.random.Generator``, through :meth:`insert_many`, so a whole
+    run of steady-state Algorithm R accept/evict decisions is drawn as
+    arrays. :meth:`insert` is a one-key ``insert_many``; the base class's
+    :meth:`update_many`, which draws from the Mersenne Twister, is not
+    used on this class.
 
     ``get_state`` additionally records the PCG64 bitstream state under
     ``"np_rng_state"``; the inherited MT state is carried along unused
@@ -131,58 +131,45 @@ class NumpyPackedEdgeReservoir(PackedEdgeReservoir):
         super().__init__(capacity, seed=seed)
         self._gen = np.random.default_rng(seed)
 
-    # -- scalar fallback draws (per-event path between batches) --------
-    def propose_insert(self, item):  # type: ignore[override]
-        from repro.sampling.random_pairing import InsertProposal
+    def insert(self, item: int) -> bool:
+        """Account for one insertion; True if ``item`` entered the sample."""
+        return bool(self.insert_many(np.array([item], dtype=np.uint64)))
 
-        self._population += 1
-        pending = self._c_bad + self._c_good
-        if pending > 0:
-            if int(self._gen.integers(pending)) < self._c_bad:
-                self._c_bad -= 1
-                return InsertProposal(item, admit=True)
-            self._c_good -= 1
-            return InsertProposal(item, admit=False)
-        if len(self._slots) < self._capacity:
-            return InsertProposal(item, admit=True)
-        if int(self._gen.integers(self._population)) < self._capacity:
-            evicted = self._slots[int(self._gen.integers(len(self._slots)))]
-            return InsertProposal(item, admit=True, evicted=evicted)
-        return InsertProposal(item, admit=False)
-
-    # -- vectorized batch insertion ------------------------------------
     def insert_many(
         self,
         keys: np.ndarray,
-        admitted: Optional[list] = None,
-        evicted: Optional[list] = None,
-    ) -> Tuple[list, list]:
-        """Account for a run of insertions; returns (admitted, evicted).
+        changes: Optional[list] = None,
+        veto: Optional[Callable[[int, int, list], bool]] = None,
+    ) -> list:
+        """Account for a run of insertions; returns the sample changes.
 
         ``keys`` is a uint64 array of packed edge keys, in stream
         order. The random-pairing phases are walked exactly as the
         scalar code would — pairing drains pending deletions item by
         item, free slots fill, and only the steady-state stretch (the
         hot case: an insert-heavy stream with a full reservoir) draws
-        its accept/reject and victim decisions as whole arrays.
+        its accept/reject and victim decisions as whole arrays. A
+        victim's slot is overwritten in place where the scalar code
+        swap-removes it and appends: the same uniform victim choice with
+        one move (slot order is an internal detail that round-trips via
+        ``get_state`` either way).
 
-        Results are appended to the ``admitted``/``evicted`` lists (or
-        fresh ones) as plain ints, so a caller that passes its own
-        lists still sees the partial outcome if a duplicate sample key
-        raises mid-run (mirroring the scalar loop's finally-block
-        settlement). An admitted key that is itself evicted later in
-        the same run appears in both; the caller's net-diff reduction
-        cancels the pair.
+        The changes are appended to ``changes`` (or a fresh list) in
+        event order as ``(gone, came)`` pairs of plain ints, None for no
+        key, so a caller that passes its own list still sees the partial
+        outcome if a duplicate sample key raises mid-run. ``veto`` is
+        :meth:`update_many`'s hook, asked with ``i`` a position in
+        ``keys`` after the admission's draws (in the steady state, after
+        the whole run's) and before its eviction and duplicate check. A
+        vetoed steady-state admission leaves its victim draw unused.
         """
         gen = self._gen
         capacity = self._capacity
         slots = self._slots
         slot_of = self._slot_of
         n = int(keys.size)
-        if admitted is None:
-            admitted = []
-        if evicted is None:
-            evicted = []
+        if changes is None:
+            changes = []
         i = 0
         # Phase 1: pairing — drain uncompensated deletions one draw at a
         # time (rare after a deletion burst; bounded by pending count).
@@ -191,8 +178,9 @@ class NumpyPackedEdgeReservoir(PackedEdgeReservoir):
             key = int(keys[i])
             if int(gen.integers(self._c_bad + self._c_good)) < self._c_bad:
                 self._c_bad -= 1
-                self._add(key)
-                admitted.append(key)
+                if veto is None or not veto(i, key, changes):
+                    self._add(key)
+                    changes.append((None, key))
             else:
                 self._c_good -= 1
             i += 1
@@ -200,8 +188,9 @@ class NumpyPackedEdgeReservoir(PackedEdgeReservoir):
         while i < n and len(slots) < capacity:
             self._population += 1
             key = int(keys[i])
-            self._add(key)
-            admitted.append(key)
+            if veto is None or not veto(i, key, changes):
+                self._add(key)
+                changes.append((None, key))
             i += 1
         # Phase 3: steady state — vectorized Algorithm R. The k-th
         # remaining insert sees population p+k+1; accept with prob
@@ -219,25 +208,21 @@ class NumpyPackedEdgeReservoir(PackedEdgeReservoir):
                 try:
                     for pos, victim in zip(accepted.tolist(), victims.tolist()):
                         key = int(keys_tail[pos])
-                        old = int(slot_view[victim])
-                        # Overwrite the victim's slot in place. The scalar
-                        # code swap-removes then appends; overwrite reaches
-                        # the same uniform victim choice with one move (slot
-                        # order is an internal detail that round-trips via
-                        # get_state either way).
+                        if veto is not None and veto(i + pos, key, changes):
+                            continue
                         if key in slot_of:
                             raise ValueError(f"duplicate sample item {key!r}")
+                        old = int(slot_view[victim])
                         del slot_of[old]
                         slot_view[victim] = key
                         slot_of[key] = victim
-                        evicted.append(old)
-                        admitted.append(key)
+                        changes.append((old, key))
                 finally:
                     # Release the buffer export even when the error's
                     # traceback keeps this frame alive: the slots must
                     # stay resizable.
                     del slot_view
-        return admitted, evicted
+        return changes
 
     # -- persistence ---------------------------------------------------
     def get_state(self) -> dict:

@@ -1,11 +1,12 @@
-"""Equivalence properties of the batched ingestion fast path.
+"""Equivalence properties of the batch kernel.
 
 The contract under test: for *any* split of a stream into batches,
 ``apply_many`` leaves the clusterer in a state identical to applying the
-events one at a time — same reservoir contents and RNG state, same
-statistics, same tracked graph, same clustering. The tests drive both
-paths over random add/delete streams (with vertex events as batch
-barriers), and check both against an oracle that recomputes the
+events one at a time (``apply``, a one-event batch) — same reservoir
+contents and RNG state, same statistics, same tracked graph, same
+clustering. The tests drive both over random add/delete streams (with
+vertex events as batch barriers), check both against the per-event model
+of ``tests/reference.py``, and against an oracle that recomputes the
 components of the sample from scratch through the public API.
 """
 
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from repro.connectivity import UnionFind
 from repro.core import (
     ClustererConfig,
+    CompositeConstraint,
     MaxClusterSize,
     MinClusterCount,
     StreamingGraphClusterer,
@@ -33,6 +35,7 @@ from repro.persist import load_checkpoint, save_checkpoint
 from repro.quality import Partition
 from repro.streams import EdgeEvent, EventColumns, EventKind
 from repro.streams.events import EVENT_KINDS
+from tests.reference import ClustererModel, assert_matches
 
 # Operation stream over a small vertex universe: (u, v) toggles the
 # edge, so the stream is always well-formed under strict semantics.
@@ -82,6 +85,13 @@ def _run_per_event(events, **config_kwargs) -> StreamingGraphClusterer:
     return clusterer
 
 
+def _run_model(events, **config_kwargs) -> ClustererModel:
+    model = ClustererModel(ClustererConfig(**config_kwargs))
+    for event in events:
+        model.apply(*event)
+    return model
+
+
 def _run_batched(events, rng, **config_kwargs) -> StreamingGraphClusterer:
     """Apply ``events`` through apply_many over a random split."""
     clusterer = StreamingGraphClusterer(ClustererConfig(**config_kwargs))
@@ -110,6 +120,7 @@ def test_apply_many_matches_per_event_for_any_split(
     assert _strip_config(batched.get_state()) == _strip_config(reference.get_state())
     assert batched.snapshot() == reference.snapshot()
     assert batched.num_clusters == reference.num_clusters
+    assert_matches(batched, _run_model(events, **kwargs))
 
 
 def _split_sizes(rng, length):
@@ -161,19 +172,22 @@ def _in_form(batch, form):
     form=st.sampled_from(
         ["tuples", "mixed", "list_columns", "array_columns", "str_labels"]
     ),
+    policy=st.sampled_from(["unconstrained", "max_size", "min_count", "composite"]),
+    bound=st.integers(2, 40),
 )
 def test_scalar_any_split_matches_per_event_in_every_form(
-    stream_seed, length, num_vertices, seed, capacity, split_seed, lean, form
+    stream_seed, length, num_vertices, seed, capacity, split_seed, lean, form, policy, bound
 ):
     """The scalar kernel's split property over what the system feeds
     ``apply_many``: tuples, tuples mixed with EdgeEvents, list columns,
     the wire decode's int64 array columns with kind codes, and str
     labels; lean streams that delete
     and re-add edges, tracked ones with malformed events and vertex
-    events; batches on both sides of the crossover. A batch that raises
-    stops at the raising event, so the per-event reference skips the
-    rest of that batch too; the states, the errors and the partitions
-    must all be equal."""
+    events; batches on both sides of the crossover; every admission
+    policy. A batch that raises stops at the raising event, so the
+    per-event references (``apply`` and the model) skip the rest of that
+    batch too; the states, the errors and the partitions must all be
+    equal."""
     events = _churn_events(random.Random(stream_seed), length, num_vertices, lean)
     if form == "str_labels":
         events = [
@@ -181,9 +195,14 @@ def test_scalar_any_split_matches_per_event_in_every_form(
         ]
         form = "list_columns"
     kwargs = dict(
-        reservoir_capacity=capacity, seed=seed, strict=False, track_graph=not lean
+        reservoir_capacity=capacity,
+        seed=seed,
+        strict=False,
+        track_graph=not lean,
+        constraint=_bounded_policy(policy, bound),
     )
     reference = StreamingGraphClusterer(ClustererConfig(**kwargs))
+    model = ClustererModel(ClustererConfig(**kwargs))
     batched = StreamingGraphClusterer(ClustererConfig(**kwargs))
     expected, got = [], []
     start = 0
@@ -192,18 +211,58 @@ def test_scalar_any_split_matches_per_event_in_every_form(
         start += size
         for event in batch:
             try:
-                reference.apply(EdgeEvent(*event))
+                model.apply(*event)
             except ValueError as error:
                 expected.append(str(error))
+                with pytest.raises(ValueError):
+                    reference.apply(EdgeEvent(*event))
                 break
+            reference.apply(EdgeEvent(*event))
         try:
             batched.apply_many(_in_form(batch, form))
         except ValueError as error:
             got.append(str(error))
     assert got == expected
     assert pickle.dumps(batched.get_state()) == pickle.dumps(reference.get_state())
-    assert batched.snapshot() == reference.snapshot()
+    assert_matches(batched, model)
     assert batched.snapshot() == _oracle_partition(batched)
+
+
+def _bounded_policy(name, bound):
+    if name == "max_size":
+        return MaxClusterSize(bound)
+    if name == "min_count":
+        return MinClusterCount(bound)
+    if name == "composite":
+        return CompositeConstraint([MaxClusterSize(bound), MinClusterCount(bound // 2 + 1)])
+    return Unconstrained()
+
+
+@pytest.mark.parametrize("form", ["tuples", "array_columns"])
+@pytest.mark.parametrize("length", [10, 2 * _SMALL_BATCH])
+@pytest.mark.parametrize("kernel", ["scalar", "numpy"])
+def test_min_cluster_count_counts_components_as_of_each_event(kernel, length, form):
+    """The kernel registers a batch's endpoints before it samples any of
+    its events, yet a ``MinClusterCount`` veto at an event must count
+    only the vertices registered by that event and the ones before it.
+    Disjoint edges into a sample with room for all of them: each event
+    brings two singletons, so counting the whole batch's would let every
+    admission through."""
+    events = [(EventKind.ADD_EDGE, 2 * i, 2 * i + 1) for i in range(length)]
+    config = ClustererConfig(
+        reservoir_capacity=length,
+        seed=3,
+        strict=False,
+        kernel=kernel,
+        constraint=MinClusterCount(length),
+    )
+    batched = StreamingGraphClusterer(config)
+    batched.apply_many(_in_form(events, form))
+    model = _run_model(
+        events, reservoir_capacity=length, seed=3, strict=False, constraint=MinClusterCount(length)
+    )
+    assert model.stats["vetoes"] == length // 2
+    assert_matches(batched, model)
 
 
 @settings(max_examples=25, deadline=None)
@@ -218,6 +277,7 @@ def test_apply_many_with_vertex_delete_barriers(ops, seed, split_seed):
     reference = _run_per_event(events, **kwargs)
     batched = _run_batched(events, random.Random(split_seed), **kwargs)
     assert _strip_config(batched.get_state()) == _strip_config(reference.get_state())
+    assert_matches(batched, _run_model(events, **kwargs))
 
 
 @settings(max_examples=25, deadline=None)
@@ -266,6 +326,7 @@ def test_checkpoint_roundtrip_mid_stream(tmp_path_factory, ops, seed, cut):
     restored.apply_many(events[cut:])
     assert _strip_config(restored.get_state()) == _strip_config(reference.get_state())
     assert restored.snapshot() == reference.snapshot()
+    assert_matches(restored, _run_model(events, **kwargs))
 
 
 # Mixed stream over a small universe: edge adds and deletes, vertex adds

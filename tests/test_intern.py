@@ -29,11 +29,7 @@ from repro.core import (
 from repro.core.clusterer import STATE_FORMAT
 from repro.graph import AdjacencyGraph, MAX_VERTEX_ID, VertexInterner
 from repro.persist import load_checkpoint, save_checkpoint
-from repro.sampling.random_pairing import (
-    InsertProposal,
-    PackedEdgeReservoir,
-    RandomPairingReservoir,
-)
+from repro.sampling.random_pairing import PackedEdgeReservoir, RandomPairingReservoir
 from repro.streams import insert_delete_stream, planted_partition
 from repro.streams.codec import DELTA_CODEC_VERSION, DeltaBatchDecoder, FrameEncoder
 from repro.streams.events import EdgeEvent, EventColumns, EventKind
@@ -353,11 +349,6 @@ class TestHotClassSlots:
         assert not hasattr(event, "__dict__")
         clone = pickle.loads(pickle.dumps(event))
         assert clone == event and clone.edge == ("a", "b")
-
-    def test_insert_proposal_has_no_dict_and_pickles(self):
-        proposal = InsertProposal(("a", "b"), admit=True, evicted=("c", "d"))
-        assert not hasattr(proposal, "__dict__")
-        assert pickle.loads(pickle.dumps(proposal)) == proposal
 
     def test_reservoir_has_no_dict_and_state_pickles(self):
         reservoir = RandomPairingReservoir(4, seed=2)

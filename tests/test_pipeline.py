@@ -32,8 +32,8 @@ from repro.util.faults import CrashShard, HangShard
 CONFIG = ClustererConfig(
     reservoir_capacity=60, seed=9, strict=False, constraint=MaxClusterSize(40)
 )
-# A constraint sends every worker event through the per-event path;
-# without one the workers run the batched loop.
+# Both configurations run every worker event through the batch kernel:
+# with a constraint its policy vetoes inside the sampler's loop.
 UNCONSTRAINED = ClustererConfig(reservoir_capacity=60, seed=9, strict=False)
 FAST = SupervisorConfig(timeout=20.0, max_attempts=3, backoff=0.01)
 # A 3-worker pipeline takes well under a second to start on a 2-vCPU

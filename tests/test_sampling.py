@@ -5,44 +5,40 @@ from collections import Counter
 
 import pytest
 
-from repro.sampling import InsertProposal, RandomPairingReservoir
+from repro.sampling import RandomPairingReservoir
 from repro.sampling.random_pairing import PackedEdgeReservoir
+from tests.reference import RandomPairingModel
 
 
 class TestRandomPairing:
     def test_insert_commit_cycle(self):
         rp = RandomPairingReservoir(3, seed=0)
         for x in range(3):
-            proposal = rp.propose_insert(x)
-            assert proposal.admit
-            rp.commit(proposal)
+            assert rp.insert(x) is True
         assert rp.sample_size == 3
         assert rp.population == 3
 
-    def test_commit_non_admitting_raises(self):
-        rp = RandomPairingReservoir(1, seed=0)
-        rp.insert("a")
-        # Force a rejection by inserting many items; find one.
-        for x in range(100):
-            proposal = rp.propose_insert(x)
-            if not proposal.admit:
-                with pytest.raises(ValueError):
-                    rp.commit(proposal)
-                return
-            rp.commit(proposal)
-        pytest.fail("never saw a rejection in 100 offers to a size-1 reservoir")
-
-    def test_commit_of_a_resident_evicts_nothing(self):
-        rp = RandomPairingReservoir(2, seed=0)
-        rp.insert("a")
-        rp.insert("b")
-        with pytest.raises(ValueError, match="duplicate sample item"):
-            rp.commit(InsertProposal("a", admit=True, evicted="b"))
-        assert sorted(rp.items()) == ["a", "b"]
+    def test_insert_of_a_resident_evicts_nothing(self):
+        # A resident added again raises after its draws and before any
+        # eviction: the victim those draws picked stays sampled.
+        failures = 0
+        for seed in range(40):
+            rp = RandomPairingReservoir(2, seed=seed)
+            rp.insert("a")
+            rp.insert("b")
+            for _ in range(20):
+                before = rp.items()
+                try:
+                    rp.insert("a" if "a" in before else "b")
+                except ValueError as error:
+                    assert "duplicate sample item" in str(error)
+                    assert rp.items() == before
+                    failures += 1
+        assert failures > 0
 
     def test_update_many_draws_as_one_event_at_a_time(self):
         # Deletions, pairing and steady state, and a resident added
-        # again: the batch stops there exactly as the per-event calls do.
+        # again: the batch stops there exactly as the per-event model does.
         rng = random.Random(8)
         keys, deletes, live = [], [], []
         for position in range(400):
@@ -53,23 +49,56 @@ class TestRandomPairing:
                 key = rng.randrange(60)
                 keys.append(key)
                 live.append(key)
-        per_event = PackedEdgeReservoir(12, seed=4)
+        model = RandomPairingModel(12, random.Random(4))
         for position, key in enumerate(keys):
             if position in deletes:
-                per_event.delete(key)
+                model.delete(key)
                 continue
-            proposal = per_event.propose_insert(key)
-            if proposal.admit:
+            admit, victim = model.offer(key)
+            if admit:
                 try:
-                    per_event.commit(proposal)
+                    model.commit(key, victim)
                 except ValueError as error:
                     expected = (position, str(error))
                     break
         batched = PackedEdgeReservoir(12, seed=4)
         changes, stop, error = batched.update_many(keys, deletes)
         assert (stop, str(error)) == expected
-        assert batched.get_state() == per_event.get_state()
+        assert batched.items() == model.slots
+        state = batched.get_state()
+        assert state["rng_state"] == model.rng.getstate()
+        assert (state["population"], state["c_bad"], state["c_good"]) == (
+            model.population,
+            model.c_bad,
+            model.c_good,
+        )
         assert len(changes) > 0
+
+    def test_veto_leaves_sample_untouched(self):
+        # A vetoed admission spends its draws (the population still
+        # counts the item) and evicts nothing, in the fill, pairing and
+        # steady-state steps alike.
+        rp = RandomPairingReservoir(2, seed=0)
+        rp.insert("a")
+        changes, stop, error = rp.update_many(["b"], veto=lambda i, item, changes: True)
+        assert (changes, stop, error) == ([], 1, None)
+        assert rp.items() == ["a"] and rp.population == 2
+        rp.insert("b")
+        rp.delete("a")
+        rp.update_many(["c"], veto=lambda i, item, changes: True)
+        assert rp.items() == ["b"] and rp.pending_deletions == 0
+        rp.insert("c")
+        asked = []
+
+        def veto(i, item, changes):
+            asked.append(i)
+            return True
+
+        for x in range(50):
+            before = rp.items()
+            rp.update_many([x], veto=veto)
+            assert rp.items() == before
+        assert asked and rp.population == 54
 
     def test_delete_from_sample_and_outside(self):
         rp = RandomPairingReservoir(2, seed=0)
@@ -96,9 +125,8 @@ class TestRandomPairing:
         rp.insert("a")
         rp.insert("b")
         rp.delete(rp.items()[0])
-        proposal = rp.propose_insert("c")
-        assert proposal.admit and proposal.evicted is None
-        rp.commit(proposal)
+        changes, _, _ = rp.update_many(["c"])
+        assert changes == [(None, "c")]
         assert rp.sample_size == 2
 
     def test_pairing_skips_good_deletions(self):
@@ -110,17 +138,8 @@ class TestRandomPairing:
         rp.insert("c")
         outside = [x for x in ("a", "b", "c") if not rp.contains(x)]
         rp.delete(outside[0])
-        proposal = rp.propose_insert("d")
-        assert not proposal.admit
-
-    def test_abort_leaves_sample_untouched(self):
-        rp = RandomPairingReservoir(2, seed=0)
-        rp.insert("a")
-        before = sorted(rp.items())
-        proposal = rp.propose_insert("b")
-        rp.abort(proposal)
-        assert sorted(rp.items()) == before
-        assert rp.population == 2  # population still counts the item
+        assert rp.insert("d") is False
+        assert not rp.contains("d")
 
     def test_from_state_roundtrip(self):
         rp = RandomPairingReservoir(3, seed=5)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import ClustererConfig, StreamingGraphClusterer
+from repro.core import ClustererConfig, MaxClusterSize, StreamingGraphClusterer
 from repro.errors import ProtocolError, ServiceError
 from repro.obs import default_registry
 from repro.persist import load_checkpoint, save_checkpoint
@@ -336,6 +336,42 @@ class TestServiceSemantics:
                 assert client.snapshot() == first_expected
                 client.send_events(events[half:])
                 assert client.snapshot() == final_expected
+
+    @pytest.mark.parametrize("kernel", ["scalar", "numpy"])
+    def test_constrained_tenant_matches_inline_frames(self, kernel):
+        """A tenant served under ``--max-cluster-size`` answers SNAPSHOT
+        and MEMBERSHIP as an inline clusterer that applies the same
+        decoded frames: the constraint vetoes inside the batch kernel on
+        both sides, at the frames' batch size."""
+        batch = 64
+        config = _config(reservoir_capacity=300, constraint=MaxClusterSize(12))
+        events = _events(seed=13, n=240, k=6)
+        inline = StreamingGraphClusterer(
+            ClustererConfig(
+                reservoir_capacity=300,
+                strict=False,
+                seed=7,
+                kernel=kernel,
+                constraint=MaxClusterSize(12),
+            )
+        )
+        encoder = FrameEncoder()
+        decoder = DeltaBatchDecoder()
+        for start in range(0, len(events), batch):
+            for frame in encoder.encode_batches(events[start : start + batch]):
+                inline.apply_many(decoder.decode(frame))
+        assert inline.stats.vetoes > 0
+        probes = sorted({u for _, u, _ in events[::40]})
+
+        service = ClusterService(config, batch_size=batch)
+        with _RunningService(service) as running:
+            with ServiceClient(
+                running.endpoint, tenant="bounded", kernel=kernel, batch_size=batch
+            ) as client:
+                client.send_events(events)
+                assert client.snapshot() == render_snapshot(inline.snapshot())
+                for probe in probes:
+                    assert client.membership(probe) == inline.cluster_members(probe)
 
     def test_membership_and_metrics_queries(self):
         config = _config()

@@ -193,22 +193,31 @@ class TestVectorizedRouting:
 # ----------------------------------------------------------------------
 # Scalar / numpy equivalence under an injected RNG
 # ----------------------------------------------------------------------
+def _det_bits(bits):
+    """A deterministic draw of ``bits`` random bits: a pure function of
+    ``bits``, zero for every even count, else ``2**(bits - 1) - 1``.
+    Either is below any bound of that bit length, so ``update_many``'s
+    accept-reject loop takes it at once."""
+    return 0 if bits % 2 == 0 else (1 << (bits - 1)) - 1
+
+
 def _det_draw(bound):
-    """A deterministic 'draw' in [0, bound): pure function of the bound."""
-    mixed = (bound ^ (bound >> 7)) * 2654435761 & 0xFFFFFFFFFFFFFFFF
-    return mixed % bound if bound > 1 else 0
+    """A deterministic 'draw' in [0, bound): the draw ``_InjectedRandom``
+    makes for it, a pure function of the bound's bit length."""
+    return _det_bits(bound.bit_length())
 
 
 class _InjectedRandom:
-    """Stands in for the scalar reservoir's Mersenne Twister."""
+    """Stands in for the scalar reservoir's Mersenne Twister, whose
+    ``getrandbits`` is the only draw ``update_many`` makes."""
 
-    def randrange(self, bound):
-        return _det_draw(bound)
+    def getrandbits(self, bits):
+        return _det_bits(bits)
 
 
 class _InjectedGenerator:
     """Stands in for the numpy reservoir's PCG64 Generator, answering
-    the three call shapes ``insert_many``/``propose_insert`` use."""
+    the three call shapes ``insert_many`` uses."""
 
     def integers(self, low, high=None, size=None):
         if high is None:
@@ -238,10 +247,8 @@ class TestInjectedRngEquivalence:
                 clusterer._reservoir._gen = _InjectedGenerator()
                 feed = clusterer.apply_many
             else:
-                # The scalar run goes through the per-event path: the
-                # injected RNG answers randrange(), which that path draws
-                # from (the batched path replays getrandbits bit-for-bit,
-                # an equivalence tests/test_apply_many_property.py covers).
+                # One event at a time, a split the numpy kernel's draws
+                # depend on and the scalar kernel's do not.
                 clusterer._reservoir._rng = _InjectedRandom()
                 feed = clusterer.process
             samples = []
@@ -264,21 +271,30 @@ class TestInjectedRngEquivalence:
         # covers the resulting distribution).
         keys = [np.uint64((u << 32) | (u + 1000)) for u in range(500)]
 
+        position_of = {int(key): i for i, key in enumerate(keys)}
         scalar = PackedEdgeReservoir(40, seed=3)
         scalar._rng = _InjectedRandom()
-        scalar_admitted = []
-        for i, key in enumerate(keys):
-            proposal = scalar.propose_insert(int(key))
-            if proposal.admit:
-                scalar.commit(proposal)
-                scalar_admitted.append(i)
+        changes, _, _ = scalar.update_many([int(key) for key in keys])
+        scalar_admitted = [position_of[key] for _, key in changes]
 
         vectorized = NumpyPackedEdgeReservoir(40, seed=3)
         vectorized._gen = _InjectedGenerator()
-        admitted, _evicted = vectorized.insert_many(np.array(keys))
-        position_of = {int(key): i for i, key in enumerate(keys)}
-        numpy_admitted = sorted(position_of[key] for key in admitted)
+        changes = vectorized.insert_many(np.array(keys))
+        numpy_admitted = [position_of[key] for _, key in changes]
         assert scalar_admitted == numpy_admitted
+        assert 40 < len(numpy_admitted) < len(keys)
+
+    def test_insert_is_a_one_key_insert_many(self):
+        # The numpy reservoir's single insert draws from its generator,
+        # as insert_many does, not from the inherited Mersenne Twister.
+        keys = [(u << 32) | (u + 1) for u in range(60)]
+        one_by_one = NumpyPackedEdgeReservoir(5, seed=8)
+        admitted = [one_by_one.insert(key) for key in keys]
+        runs = NumpyPackedEdgeReservoir(5, seed=8)
+        for key in keys:
+            runs.insert_many(np.array([key], dtype=np.uint64))
+        assert one_by_one.get_state() == runs.get_state()
+        assert 5 < sum(admitted) < len(keys)
 
 
 # ----------------------------------------------------------------------
@@ -759,7 +775,7 @@ class TestLabelCatchUp:
         kernel = clusterer._kernel
         a, b, c, k = 1 << 40, 2 << 40, 3 << 40, 4 << 40
         kernel._fresh[k] = None
-        kernel._log_run([a, k, c], [k, b, k])
+        kernel._take([(k, a), (b, k), (k, c)])
         assert list(kernel._fresh) == [a, c]
         assert list(kernel._stale) == [b]
 
