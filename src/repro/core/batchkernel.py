@@ -22,8 +22,10 @@ through these steps once, in this order:
    every counter is exact and every split of a stream into batches is
    byte-identical. ``numpy``: each run of additions between two
    deletions goes through :meth:`NumpyPackedEdgeReservoir.insert_many`,
-   which draws a whole run in two vectorized calls, and each deletion
-   through ``reservoir.delete``; unconstrained, the changes go into the
+   which draws a run's admissions per candidate (geometric gaps at the
+   run's highest rate, thinned to each insert's rate; one scalar draw
+   when there is no candidate), and each deletion through
+   ``reservoir.delete``; unconstrained, the changes go into the
    sample-change log instead of the labels.
 
 Under a constraint, both samplers ask the kernel's veto hook after an

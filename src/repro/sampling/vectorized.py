@@ -8,8 +8,8 @@ from:
 
 * :class:`NumpyPackedEdgeReservoir` — a :class:`PackedEdgeReservoir`
   whose random draws come from a ``numpy.random.Generator`` (PCG64) so
-  that :meth:`~NumpyPackedEdgeReservoir.insert_many` can draw a whole
-  batch of admission and eviction decisions in two vectorized calls.
+  that :meth:`~NumpyPackedEdgeReservoir.insert_many` can draw a run's
+  admissions per candidate, as arrays, instead of once per insert.
 * :func:`shard_ids` — splitmix64 shard routing over id arrays,
   bit-for-bit equal to ``repro.core.sharded._shard_of`` for int
   vertices (property-tested).
@@ -23,17 +23,19 @@ Determinism contract
 --------------------
 The scalar kernel replays the Mersenne-Twister stream draw for draw, so
 any batch split of a stream is *bit-identical* to per-event processing.
-The numpy kernel deliberately trades that for throughput: a batched
-``integers(0, pops)`` call consumes the PCG64 bitstream differently
-than the same decisions drawn one at a time, so two numpy runs agree
-bit-for-bit only when fed the same stream in the same batch sizes
-(which the CLI and checkpoint resume guarantee), and agree with the
-scalar kernel *in distribution* (chi-square-tested in
+The numpy kernel deliberately trades that for throughput: each run of
+additions draws its candidates at its own first admission rate, so how
+the PCG64 bitstream is consumed depends on where runs start and end.
+Two numpy runs agree bit-for-bit only when fed the same stream in the
+same batch sizes (which the CLI and checkpoint resume guarantee), and
+agree with the scalar kernel *in distribution* (exact under scripted
+draws, chi-square-tested under real ones, in
 ``tests/test_vectorized.py``).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -53,6 +55,8 @@ _SHIFT32 = np.uint64(32)
 _SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
+
+_NO_POSITIONS = np.empty(0, dtype=np.intp)
 
 
 def shard_ids(key_u: np.ndarray, key_v: np.ndarray, num_shards: int) -> np.ndarray:
@@ -109,6 +113,49 @@ def edge_components(
     return int(np.unique(labels).size), vertices, labels
 
 
+def _steady_admissions(gen, run: int, capacity: int, base: int) -> np.ndarray:
+    """Positions in ``range(run)``, ascending, of the inserts that
+    steady-state Algorithm R admits when the first sees population
+    ``base`` (``base > capacity``).
+
+    Insert ``k`` is admitted with probability ``capacity/(base + k)``,
+    independently of the others. Candidates are drawn at the highest of
+    these rates, ``q = capacity/base``, and candidate ``k`` is kept with
+    probability ``base/(base + k)``: admitted with probability
+    ``q * base/(base + k)``, the same law. Like Vitter's reservoir
+    algorithms (1985), this skips the rejected inserts instead of
+    drawing for each; thinning keeps the skip distribution fixed over
+    the run. The gaps between candidates are geometric, drawn by
+    inversion: ``floor(log(1 - u) / log(1 - q))`` inserts pass over
+    before the next, ``u`` uniform on [0, 1). The first gap is one
+    scalar draw, so a run without a candidate costs that draw; the rest
+    come in blocks of the candidates the run has left (mean plus four
+    standard deviations), drawn only while an insert follows the last
+    candidate, and a block that ends inside the run is followed by
+    another. Draws and array work are O(candidates), not O(run).
+    """
+    rate = capacity / base
+    log_miss = math.log1p(-rate)
+    last = math.floor(math.log(1.0 - gen.random()) / log_miss)
+    if last >= run:
+        return _NO_POSITIONS
+    found = [(last,)]
+    while last < run - 1:
+        left = (run - 1 - last) * rate
+        size = int(left + 4.0 * math.sqrt(left)) + 1
+        steps = np.floor(np.log(1.0 - gen.random(size)) / log_miss) + 1.0
+        steps[0] += last
+        ends = steps.cumsum()
+        inside = ends[ends < run]
+        found.append(inside)
+        if inside.size < size:
+            break
+        last = float(ends[-1])
+    candidates = np.concatenate(found)
+    keep = gen.random(candidates.size) * (base + candidates) < base
+    return candidates[keep].astype(np.intp)
+
+
 class NumpyPackedEdgeReservoir(PackedEdgeReservoir):
     """Packed-edge random-pairing reservoir driven by a PCG64 generator.
 
@@ -116,9 +163,9 @@ class NumpyPackedEdgeReservoir(PackedEdgeReservoir):
     base class's; its draws instead come from a
     ``numpy.random.Generator``, through :meth:`insert_many`, so a whole
     run of steady-state Algorithm R accept/evict decisions is drawn as
-    arrays. :meth:`insert` is a one-key ``insert_many``; the base class's
-    :meth:`update_many`, which draws from the Mersenne Twister, is not
-    used on this class.
+    arrays, per candidate rather than per insert. :meth:`insert` is a
+    one-key ``insert_many``; the base class's :meth:`update_many`, which
+    draws from the Mersenne Twister, is not used on this class.
 
     ``get_state`` additionally records the PCG64 bitstream state under
     ``"np_rng_state"``; the inherited MT state is carried along unused
@@ -148,8 +195,10 @@ class NumpyPackedEdgeReservoir(PackedEdgeReservoir):
         scalar code would — pairing drains pending deletions item by
         item, free slots fill, and only the steady-state stretch (the
         hot case: an insert-heavy stream with a full reservoir) draws
-        its accept/reject and victim decisions as whole arrays. A
-        victim's slot is overwritten in place where the scalar code
+        its decisions as arrays: candidates at the stretch's highest
+        admission rate, thinned to each insert's own rate
+        (:func:`_steady_admissions`), then one victim per admission.
+        A victim's slot is overwritten in place where the scalar code
         swap-removes it and appends: the same uniform victim choice with
         one move (slot order is an internal detail that round-trips via
         ``get_state`` either way).
@@ -192,36 +241,28 @@ class NumpyPackedEdgeReservoir(PackedEdgeReservoir):
                 self._add(key)
                 changes.append((None, key))
             i += 1
-        # Phase 3: steady state — vectorized Algorithm R. The k-th
-        # remaining insert sees population p+k+1; accept with prob
-        # capacity/(p+k+1), exactly the scalar acceptance probability.
+        # Phase 3: steady state — Algorithm R over the rest of the run,
+        # drawn per candidate (see _steady_admissions).
         m = n - i
         if m > 0:
-            pops = self._population + 1 + np.arange(m, dtype=np.int64)
+            base = self._population + 1
             self._population += m
-            draws = gen.integers(0, pops)
-            accepted = np.nonzero(draws < capacity)[0]
-            if accepted.size:
-                victims = gen.integers(0, capacity, size=accepted.size)
-                slot_view = np.frombuffer(slots, dtype=np.uint64)
-                keys_tail = keys[i:]
-                try:
-                    for pos, victim in zip(accepted.tolist(), victims.tolist()):
-                        key = int(keys_tail[pos])
-                        if veto is not None and veto(i + pos, key, changes):
-                            continue
-                        if key in slot_of:
-                            raise ValueError(f"duplicate sample item {key!r}")
-                        old = int(slot_view[victim])
-                        del slot_of[old]
-                        slot_view[victim] = key
-                        slot_of[key] = victim
-                        changes.append((old, key))
-                finally:
-                    # Release the buffer export even when the error's
-                    # traceback keeps this frame alive: the slots must
-                    # stay resizable.
-                    del slot_view
+            admitted = _steady_admissions(gen, m, capacity, base)
+            if admitted.size:
+                victims = gen.integers(0, capacity, size=admitted.size)
+                came = keys[i:][admitted].tolist()
+                for pos, key, victim in zip(
+                    admitted.tolist(), came, victims.tolist()
+                ):
+                    if veto is not None and veto(i + pos, key, changes):
+                        continue
+                    if key in slot_of:
+                        raise ValueError(f"duplicate sample item {key!r}")
+                    old = slots[victim]
+                    del slot_of[old]
+                    slots[victim] = key
+                    slot_of[key] = victim
+                    changes.append((old, key))
         return changes
 
     # -- persistence ---------------------------------------------------

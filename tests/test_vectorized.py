@@ -6,9 +6,11 @@ Covers the three contracts ``--kernel numpy`` makes:
 * the kernel is deterministic and checkpoint-exact (byte-identical
   round trips, including a mid-stream save/restore);
 * the sample it draws is *distribution-equivalent* to the scalar
-  kernel's (identical under an injected RNG, chi-square-indistinguishable
-  under real RNGs) — the kernel trades bitstream compatibility for
-  throughput, never correctness.
+  kernel's: under scripted draws its admissions equal a per-insert
+  reference of the thinning rule it draws by, and under real RNGs its
+  admission counts are chi-square-indistinguishable from the law and
+  from the scalar kernel's — the kernel trades bitstream compatibility
+  for throughput, never correctness.
 """
 
 import math
@@ -191,98 +193,150 @@ class TestVectorizedRouting:
 
 
 # ----------------------------------------------------------------------
-# Scalar / numpy equivalence under an injected RNG
+# The numpy reservoir's draws, scripted
 # ----------------------------------------------------------------------
-def _det_bits(bits):
-    """A deterministic draw of ``bits`` random bits: a pure function of
-    ``bits``, zero for every even count, else ``2**(bits - 1) - 1``.
-    Either is below any bound of that bit length, so ``update_many``'s
-    accept-reject loop takes it at once."""
-    return 0 if bits % 2 == 0 else (1 << (bits - 1)) - 1
+class _ScriptedGenerator:
+    """Stands in for the numpy reservoir's PCG64 Generator and logs every
+    answer as ``(method, size, values)``. ``random`` answers from a tape
+    of uniforms: seeded, every seventh exactly 0.0 (a gap of no insert,
+    or a sure keep) and a burst of 0.0 at tape positions 130-399 (a run
+    of adjacent candidates, more than one block of gaps holds);
+    ``integers`` counts through its range."""
 
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+        self._drawn = 0
+        self._counter = 0
+        self.log = []
 
-def _det_draw(bound):
-    """A deterministic 'draw' in [0, bound): the draw ``_InjectedRandom``
-    makes for it, a pure function of the bound's bit length."""
-    return _det_bits(bound.bit_length())
+    def _uniform(self):
+        self._drawn += 1
+        if self._drawn % 7 == 0 or 130 <= self._drawn < 400:
+            return 0.0
+        return self._rng.random()
 
-
-class _InjectedRandom:
-    """Stands in for the scalar reservoir's Mersenne Twister, whose
-    ``getrandbits`` is the only draw ``update_many`` makes."""
-
-    def getrandbits(self, bits):
-        return _det_bits(bits)
-
-
-class _InjectedGenerator:
-    """Stands in for the numpy reservoir's PCG64 Generator, answering
-    the three call shapes ``insert_many`` uses."""
+    def random(self, size=None):
+        values = [self._uniform() for _ in range(1 if size is None else size)]
+        self.log.append(("random", size, values))
+        return values[0] if size is None else np.array(values)
 
     def integers(self, low, high=None, size=None):
         if high is None:
-            return _det_draw(int(low))
-        if size is not None:
-            return np.full(size, _det_draw(int(high)), dtype=np.int64)
-        bounds = np.asarray(high).tolist()
-        return np.array([_det_draw(int(b)) for b in bounds], dtype=np.int64)
+            low, high = 0, low
+        values = []
+        for _ in range(1 if size is None else size):
+            values.append(low + self._counter % (high - low))
+            self._counter += 1
+        self.log.append(("integers", size, values))
+        return values[0] if size is None else np.array(values, dtype=np.int64)
+
+
+def _reference_run(log, keys, capacity, items, population, c_bad, c_good):
+    """One ``insert_many`` run decided one insert at a time from the
+    draws it logged; returns ``(changes, items, population, c_bad,
+    c_good)`` after the run.
+
+    Pairing inserts take the scalar ``integers`` draws in order. In the
+    steady state insert ``k`` (``k = 1, 2, ...``) sees population
+    ``P + k``: it is a candidate when the geometric gaps (rate
+    ``q = capacity/(P + 1)``, ``floor(log(1 - u) / log(1 - q))`` inserts
+    passed over) drawn from the ``random`` answers land on it, and a
+    candidate is kept iff ``u * (P + k) < P + 1`` for the next keep draw
+    ``u``; a kept one overwrites the slot of the next victim draw. A gap
+    is drawn at the first steady insert and at each one after a
+    candidate, so a run that ends on a candidate draws no further gap.
+    The keep draws are the run's last ``random`` call when it has more
+    than one, every earlier answer a gap draw.
+    """
+    pairing = iter([v[0] for m, size, v in log if m == "integers" and size is None])
+    victims = iter([x for m, size, v in log if m == "integers" and size for x in v])
+    calls = [v for m, _, v in log if m == "random"]
+    gap_calls = calls[:-1] or calls
+    gaps = [u for call in gap_calls for u in call]
+    keeps = iter(calls[-1] if len(calls) > 1 else [])
+    items = list(items)
+    changes = []
+    skip = steady = None
+    used = 0
+    for key in keys.tolist():
+        population += 1
+        if c_bad + c_good:
+            if next(pairing) < c_bad:
+                c_bad -= 1
+                items.append(key)
+                changes.append((None, key))
+            else:
+                c_good -= 1
+        elif len(items) < capacity:
+            items.append(key)
+            changes.append((None, key))
+        else:
+            if steady is None:
+                steady = population  # P + 1
+                log_miss = math.log1p(-capacity / steady)
+            if skip is None:
+                skip = math.floor(math.log(1.0 - gaps[used]) / log_miss)
+                used += 1
+            if skip:
+                skip -= 1
+                continue
+            skip = None
+            if next(keeps) * population < steady:
+                victim = next(victims)
+                changes.append((items[victim], key))
+                items[victim] = key
+    # Exactly one keep draw per candidate and one victim per admission,
+    # and no gap call the run did not need: the last one's first answer
+    # is used.
+    assert next(keeps, None) is None and next(victims, None) is None
+    assert not gap_calls or used > len(gaps) - len(gap_calls[-1])
+    assert next(pairing, None) is None
+    return changes, items, population, c_bad, c_good
 
 
 class TestInjectedRngEquivalence:
-    def test_identical_partitions_capacity_one(self):
-        # With every random decision forced to the same pure function of
-        # its bound, the two kernels make identical admission choices.
-        # Capacity 1 makes the victim choice trivial too (slot orders —
-        # an internal artifact that differs between swap-remove-append
-        # and in-place overwrite — cannot diverge), so the *entire*
-        # sample history, and hence every partition, must coincide.
-        events = _mixed_events(600, 80, seed=21, delete_rate=0.15)
-
-        def run(kernel):
-            config = ClustererConfig(
-                reservoir_capacity=1, seed=17, kernel=kernel, strict=False
+    def test_admissions_follow_the_thinning_rule(self):
+        # Every run's changes, slots and counters must equal the
+        # per-insert reference over the draws the run logged: runs of
+        # 1 to 2,000 inserts, the rate falling from 8/61 to 8/2,600,
+        # and one run that starts by pairing pending deletions.
+        capacity = 8
+        keys = np.arange(3000, dtype=np.uint64) + (1 << 32)
+        reservoir = NumpyPackedEdgeReservoir(capacity, seed=4)
+        reservoir.insert_many(keys[:60])
+        scripted = _ScriptedGenerator(seed=12)
+        reservoir._gen = scripted
+        position, steady_admissions, blocks = 60, 0, []
+        for run in (1, 7, 1, 40, "delete", 512, 7, 2000, 1):
+            if run == "delete":
+                for key in reservoir.items()[:3] + keys[:2].tolist():
+                    reservoir.delete(key)
+                continue
+            before = (
+                list(reservoir._slots),
+                reservoir._population,
+                reservoir._c_bad,
+                reservoir._c_good,
             )
-            clusterer = StreamingGraphClusterer(config)
-            if kernel == "numpy":
-                clusterer._reservoir._gen = _InjectedGenerator()
-                feed = clusterer.apply_many
-            else:
-                # One event at a time, a split the numpy kernel's draws
-                # depend on and the scalar kernel's do not.
-                clusterer._reservoir._rng = _InjectedRandom()
-                feed = clusterer.process
-            samples = []
-            for start in range(0, len(events), 128):
-                feed(events[start : start + 128])
-                samples.append(sorted(clusterer.reservoir_edges()))
-            return clusterer, samples
-
-        scalar, scalar_samples = run("scalar")
-        vectorized, numpy_samples = run("numpy")
-        assert scalar_samples == numpy_samples
-        assert scalar.snapshot() == vectorized.snapshot()
-
-    def test_identical_admission_decisions(self):
-        # At full capacity the two reservoirs must *admit* the same
-        # stream positions under the injected draws. Evicted keys are
-        # excluded on purpose: a victim draw picks a slot index, and
-        # slot order is internal state the two implementations arrange
-        # differently (uniform either way; the chi-square test below
-        # covers the resulting distribution).
-        keys = [np.uint64((u << 32) | (u + 1000)) for u in range(500)]
-
-        position_of = {int(key): i for i, key in enumerate(keys)}
-        scalar = PackedEdgeReservoir(40, seed=3)
-        scalar._rng = _InjectedRandom()
-        changes, _, _ = scalar.update_many([int(key) for key in keys])
-        scalar_admitted = [position_of[key] for _, key in changes]
-
-        vectorized = NumpyPackedEdgeReservoir(40, seed=3)
-        vectorized._gen = _InjectedGenerator()
-        changes = vectorized.insert_many(np.array(keys))
-        numpy_admitted = [position_of[key] for _, key in changes]
-        assert scalar_admitted == numpy_admitted
-        assert 40 < len(numpy_admitted) < len(keys)
+            scripted.log.clear()
+            run_keys = keys[position : position + run]
+            position += run
+            changes = reservoir.insert_many(run_keys)
+            expected = _reference_run(scripted.log, run_keys, capacity, *before)
+            assert changes == expected[0]
+            assert list(reservoir._slots) == expected[1]
+            assert reservoir._slot_of == {k: s for s, k in enumerate(expected[1])}
+            assert (
+                reservoir._population,
+                reservoir._c_bad,
+                reservoir._c_good,
+            ) == expected[2:]
+            steady_admissions += sum(gone is not None for gone, _ in changes)
+            blocks.append(sum(1 for m, size, _ in scripted.log if m == "random"))
+        assert steady_admissions > 20
+        # Some run found no candidate (one draw), and one needed a second
+        # block of gaps (scalar, two blocks, keeps).
+        assert min(blocks) == 1 and max(blocks) >= 4
 
     def test_insert_is_a_one_key_insert_many(self):
         # The numpy reservoir's single insert draws from its generator,
@@ -351,6 +405,77 @@ class TestDistributionEquivalence:
                 homogeneity += (b - expect) ** 2 / expect
         assert homogeneity < _chi2_critical(len(edges) - 1), (
             f"scalar/numpy inclusion counts differ: chi2={homogeneity:.1f}"
+        )
+
+    def test_low_rate_admission_chi_square(self):
+        # The regime the served frames run in, where a run's candidates
+        # are a small share of its inserts: a 10-edge sample of 2,048
+        # distinct inserts, the rate falling to 10/2,048, fed in runs of
+        # 1, 7, 512 and 2,048 (250 seeds each) and, for the scalar
+        # kernel, one insert at a time (500 seeds). Insert t (population
+        # t) is admitted with probability 10/t, independently of the
+        # others, so each bucket of positions has a known mean and
+        # variance per stream. Goodness of fit for the numpy streams
+        # pooled, and homogeneity against the scalar kernel, both at
+        # the 0.999 point over 14 buckets of a geometric width (critical
+        # value 36.3). Off-by-ones in the keep probability fail both:
+        # keeping candidate k iff u * (base + k + 1) < base, or
+        # u * (base + k) < base - 1, or u * (base + k - 1) < base - 1
+        # read a fit of 168, 358 and 102 and a homogeneity of 65, 134
+        # and 55, where the rule as written reads 7.9 and 18.8.
+        capacity, inserts = 10, 2048
+        keys = np.arange(inserts, dtype=np.uint64) + (1 << 32)
+        edges = [capacity]
+        while edges[-1] < inserts:
+            edges.append(min(inserts, max(edges[-1] + 1, round(edges[-1] * 1.5))))
+        population = np.arange(1, inserts + 1, dtype=np.float64)
+        p = np.minimum(1.0, capacity / population)
+        mean = np.add.reduceat(p, edges[:-1])
+        var = np.add.reduceat(p * (1.0 - p), edges[:-1])
+
+        def bucket_counts(admitted):
+            counts = np.bincount(admitted, minlength=inserts).astype(np.float64)
+            assert counts[:capacity].tolist() == [1.0] * capacity
+            return np.add.reduceat(counts, edges[:-1])
+
+        numpy_counts, numpy_runs = 0.0, 0
+        for index, run in enumerate((1, 7, 512, 2048)):
+            for seed in range(250 * index, 250 * (index + 1)):
+                reservoir = NumpyPackedEdgeReservoir(capacity, seed=seed)
+                changes = []
+                for start in range(0, inserts, run):
+                    reservoir.insert_many(keys[start : start + run], changes)
+                came = np.array([key for _, key in changes], dtype=np.uint64)
+                numpy_counts = numpy_counts + bucket_counts(
+                    (came - keys[0]).astype(np.int64)
+                )
+                numpy_runs += 1
+        scalar_counts, scalar_runs = 0.0, 0
+        first = int(keys[0])
+        for seed in range(5000, 5500):
+            reservoir = PackedEdgeReservoir(capacity, seed=seed)
+            changes, _, _ = reservoir.update_many(keys.tolist())
+            scalar_counts = scalar_counts + bucket_counts(
+                np.array([key - first for _, key in changes], dtype=np.int64)
+            )
+            scalar_runs += 1
+
+        dof = len(mean)
+        gof = float(
+            np.sum((numpy_counts - numpy_runs * mean) ** 2 / (numpy_runs * var))
+        )
+        assert gof < _chi2_critical(dof), (
+            f"numpy low-rate admissions do not fit 10/t: chi2={gof:.1f}"
+        )
+        spread = var * (1.0 / numpy_runs + 1.0 / scalar_runs)
+        homogeneity = float(
+            np.sum(
+                (numpy_counts / numpy_runs - scalar_counts / scalar_runs) ** 2
+                / spread
+            )
+        )
+        assert homogeneity < _chi2_critical(dof), (
+            f"scalar/numpy low-rate admissions differ: chi2={homogeneity:.1f}"
         )
 
 
